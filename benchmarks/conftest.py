@@ -45,7 +45,9 @@ from repro.sampling.kernels import kernel_info
 # holds the experiment compute alone (timed inside run_exhibit, excluding
 # rendering and assertions); ``_TEST_TIMES`` holds the pytest call phase
 # of every benchmark test, which also covers exhibits driven without
-# run_exhibit (the real-dataset figures share a module-scoped dataset).
+# run_exhibit: the real-dataset figures pass one module-scoped dataset to
+# both exhibits of a pair, an explicit-dataset call that evaluates its
+# sweep afresh every time (it never reuses the registry's memoized sweep).
 _EXHIBIT_TIMES: dict[str, float] = {}
 _TEST_TIMES: dict[str, float] = {}
 

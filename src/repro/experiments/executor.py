@@ -72,6 +72,7 @@ __all__ = [
     "sweep_context",
     "SweepContext",
     "memoized",
+    "memo_contains",
     "clear_memo",
     "memo_size",
     "memo_stats",
@@ -606,6 +607,11 @@ def memoized(key: Hashable, build: Callable[[], _ResultT]) -> _ResultT:  # repro
     if OBS.enabled:
         OBS.add("executor.memo_hits")
     return value  # type: ignore[no-any-return]
+
+
+def memo_contains(key: Hashable) -> bool:
+    """Whether ``key`` has a live memo entry (tallies are not touched)."""
+    return key in _MEMO
 
 
 def clear_memo() -> None:

@@ -27,9 +27,9 @@ Grid sweeps run under either of two seeding protocols (selected by
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass
-from typing import Any
+from collections.abc import Callable, Hashable, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, TypeVar
 
 import numpy as np
 
@@ -68,6 +68,8 @@ __all__ = [
 ]
 
 _METRICS = ("error", "stddev")
+
+_SweepT = TypeVar("_SweepT")
 
 
 def _metric_value(summary: EstimatorSummary, metric: str) -> float:
@@ -176,7 +178,6 @@ class _DatasetTask:
     trials: int
     seed: int
     fraction: float
-    metric: str
 
 
 def _build_dataset_traced(name: str, scale_ppm: int, seed: int) -> Dataset:
@@ -196,41 +197,92 @@ def _shared_dataset(name: str, scale_ppm: int, seed: int) -> Dataset:
 
 
 @dataclass(frozen=True)
-class _DatasetOutcome:
-    """Per-fraction result of a dataset sweep, plus title metadata."""
+class _DatasetSweep:
+    """Per-fraction, per-column results of a dataset sweep, plus title metadata."""
 
-    means: dict[str, float]
-    n_columns: int
-    n_rows: int
     dataset_label: str
+    n_rows: int
+    n_columns: int
+    points: tuple[tuple[EvaluationResult, ...], ...]
+
+
+def _evaluate_dataset(
+    dataset: Dataset, estimators: Sequence[str], rng: np.random.Generator,
+    fractions: Sequence[float], runs: int,
+) -> _DatasetSweep:
+    """Evaluate every column of ``dataset`` at each fraction, on one stream."""
+    suite = make_estimators(estimators)
+    points = tuple(
+        tuple(evaluate_column(c, suite, rng, fraction=f, trials=runs) for c in dataset)
+        for f in fractions
+    )
+    return _DatasetSweep(dataset.name, dataset.n_rows, len(dataset), points)
 
 
 def _evaluate_dataset_point(
     task: _DatasetTask, rng: np.random.Generator
-) -> _DatasetOutcome:
-    """Mean metric over all dataset columns at one sampling fraction."""
+) -> _DatasetSweep:
+    """Every dataset column's results at one sampling fraction."""
     dataset = _shared_dataset(task.dataset_name, task.scale_ppm, task.seed)
-    suite = make_estimators(task.estimators)
-    totals = {e.name: 0.0 for e in suite}
-    for column in dataset:
-        result = evaluate_column(
-            column, suite, rng, fraction=task.fraction, trials=task.trials
-        )
-        for estimator in suite:
-            totals[estimator.name] += _metric_value(
-                result[estimator.name], task.metric
-            )
-    return _DatasetOutcome(
-        means={name: total / len(dataset) for name, total in totals.items()},
-        n_columns=len(dataset),
-        n_rows=dataset.n_rows,
-        dataset_label=dataset.name,
+    return _evaluate_dataset(
+        dataset, task.estimators, rng, (task.fraction,), task.trials
     )
+
+
+def _column_mean(results: Sequence[EvaluationResult], name: str, metric: str) -> float:
+    """Mean of one estimator's metric over a dataset's columns, in column order."""
+    total = 0.0
+    for result in results:
+        total += _metric_value(result[name], metric)
+    return total / len(results)
+
+
+def _shared_sweep(sweep: Callable[..., _SweepT], *args: Hashable) -> _SweepT:
+    """Run ``sweep(*args)`` at most once per process.
+
+    The mean-error and stddev exhibits of a pair (Figures 1/3, 2/4,
+    11/12, 13/14, 15/16) run the same sweep and differ only in the
+    statistic they read, so the second exhibit reads the first one's
+    results.  The memo key is the sweep's own arguments — everything
+    that determines its numbers — plus the seeding protocol.  A failed
+    sweep raises (the runners call :func:`executor.run_sweep` with
+    ``on_gap="raise"``), so neither an exception nor a partial sweep is
+    ever stored.
+    """
+    key = ("sweep", sweep.__qualname__, config.spawn_seeding(), *args)
+    if not executor.memo_contains(key):
+        return executor.memoized(key, lambda: sweep(*args))
+    with OBS.span("sweep.reuse"):
+        if OBS.enabled:
+            OBS.add("experiments.sweeps_reused")
+        return executor.memoized(key, lambda: sweep(*args))
 
 
 # ----------------------------------------------------------------------
 # Synthetic sweeps (Figures 1-8, Tables 1-2)
 # ----------------------------------------------------------------------
+def _rate_sweep(
+    spec: _ColumnSpec, fractions: tuple[float, ...], estimators: tuple[str, ...],
+    runs: int, seed: int,
+) -> tuple[int, list[EvaluationResult]]:
+    """Figures 1-4's sweep: one Zipf column at every rate, plus its D."""
+    if config.spawn_seeding():
+        results = executor.run_sweep(
+            _evaluate_point,
+            [_EvalTask(spec, estimators, runs, seed, fraction=f) for f in fractions],
+            seed=seed,
+        )
+        return (results[0].true_distinct if results else 0), results
+    rng = np.random.default_rng(seed)
+    column = zipf_column(spec.n_rows, spec.z, duplication=spec.factor, rng=rng)
+    suite = make_estimators(estimators)
+    results = [
+        evaluate_column(column, suite, rng, fraction=f, trials=runs)
+        for f in fractions
+    ]
+    return column.distinct_count, results
+
+
 def error_vs_sampling_rate(
     z: float,
     duplication: int,
@@ -248,26 +300,10 @@ def error_vs_sampling_rate(
         config.PAPER_ROWS, keep_divisible_by=duplication
     )
     runs = _trials(trials)
-    if config.spawn_seeding():
-        spec = _ColumnSpec(_KIND_ZIPF, n, z, duplication)
-        results = executor.run_sweep(
-            _evaluate_point,
-            [
-                _EvalTask(spec, tuple(estimators), runs, seed, fraction=f)
-                for f in fractions
-            ],
-            seed=seed,
-        )
-        distinct = results[0].true_distinct if results else 0
-    else:
-        rng = np.random.default_rng(seed)
-        column = zipf_column(n, z, duplication=duplication, rng=rng)
-        suite = make_estimators(estimators)
-        results = [
-            evaluate_column(column, suite, rng, fraction=f, trials=runs)
-            for f in fractions
-        ]
-        distinct = column.distinct_count
+    spec = _ColumnSpec(_KIND_ZIPF, n, z, duplication)
+    distinct, results = _shared_sweep(
+        _rate_sweep, spec, tuple(fractions), tuple(estimators), runs, seed
+    )
     label = "mean ratio error" if metric == "error" else "stddev / D"
     table = SeriesTable(
         title=(
@@ -543,6 +579,29 @@ def scaleup_unbounded(
 # ----------------------------------------------------------------------
 # Real-world surrogates (Figures 11-16)
 # ----------------------------------------------------------------------
+def _dataset_sweep(
+    dataset_name: str, divisor: int, fractions: tuple[float, ...],
+    estimators: tuple[str, ...], runs: int, seed: int,
+) -> _DatasetSweep:
+    """Figures 11-16's sweep: every surrogate column at every rate."""
+    if not config.spawn_seeding():
+        rng = np.random.default_rng(seed)
+        dataset = DATASETS[dataset_name](rng, scale=1.0 / divisor)
+        return _evaluate_dataset(dataset, estimators, rng, fractions, runs)
+    scale_ppm = round(1_000_000 / divisor)
+    points = [
+        _DatasetTask(dataset_name, scale_ppm, estimators, runs, seed, f)
+        for f in fractions
+    ]
+    outcomes = executor.run_sweep(_evaluate_dataset_point, points, seed=seed)
+    if not outcomes:  # metadata only: no grid points to borrow it from
+        shared = _shared_dataset(dataset_name, scale_ppm, seed)
+        return _DatasetSweep(shared.name, shared.n_rows, len(shared), ())
+    return replace(
+        outcomes[0], points=tuple(outcome.points[0] for outcome in outcomes)
+    )
+
+
 def real_dataset_metric(
     dataset_name: str,
     metric: str = "error",
@@ -554,10 +613,13 @@ def real_dataset_metric(
 ) -> SeriesTable:
     """Figures 11-16: per-estimator mean error / stddev over all columns.
 
-    ``dataset`` may be passed in to share one generated surrogate across
-    the error and variance exhibits of the same dataset; an explicit
-    dataset always runs on the legacy sequential path (worker processes
-    regenerate shared inputs from specs rather than shipping arrays).
+    Without ``dataset``, the surrogate named ``dataset_name`` is built at
+    ``REPRO_SCALE`` and the sweep is shared with the other metric's
+    exhibit: whichever of the pair runs first evaluates it, and the
+    second reads its results from the per-process memo.  An explicit
+    ``dataset`` always runs on the legacy sequential path (worker
+    processes regenerate shared inputs from specs rather than shipping
+    arrays) and never reuses or stores a sweep.
     """
     if metric not in _METRICS:
         raise InvalidParameterError(f"metric must be one of {_METRICS}, got {metric!r}")
@@ -567,59 +629,29 @@ def real_dataset_metric(
             f"unknown dataset {dataset_name!r}; known: {known}"
         )
     runs = _trials(trials)
-    if dataset is None and config.spawn_seeding():
-        scale_ppm = round(1_000_000 / config.scale_divisor())
-        points = [
-            _DatasetTask(
-                dataset_name, scale_ppm, tuple(estimators), runs, seed, f, metric
-            )
-            for f in fractions
-        ]
-        outcomes = executor.run_sweep(_evaluate_dataset_point, points, seed=seed)
-        if outcomes:
-            first = outcomes[0]
-            names = list(first.means)
-            n_columns, n_rows_label = first.n_columns, first.n_rows
-            dataset_label = first.dataset_label
-        else:  # metadata only: no grid points to borrow it from
-            shared = _shared_dataset(dataset_name, scale_ppm, seed)
-            names = [e.name for e in make_estimators(estimators)]
-            n_columns, n_rows_label = len(shared), shared.n_rows
-            dataset_label = shared.name
-        rows = {
-            name: [outcome.means[name] for outcome in outcomes] for name in names
-        }
+    if dataset is not None:
+        sweep = _evaluate_dataset(
+            dataset, estimators, np.random.default_rng(seed), fractions, runs
+        )
     else:
-        rng = np.random.default_rng(seed)
-        if dataset is None:
-            dataset = DATASETS[dataset_name](rng, scale=1.0 / config.scale_divisor())
-        suite = make_estimators(estimators)
-        rows = {e.name: [] for e in suite}
-        for fraction in fractions:
-            totals = {e.name: 0.0 for e in suite}
-            for column in dataset:
-                result = evaluate_column(
-                    column, suite, rng, fraction=fraction, trials=runs
-                )
-                for estimator in suite:
-                    totals[estimator.name] += _metric_value(
-                        result[estimator.name], metric
-                    )
-            for name, total in totals.items():
-                rows[name].append(total / len(dataset))
-        n_columns, n_rows_label = len(dataset), dataset.n_rows
-        dataset_label = dataset.name
+        sweep = _shared_sweep(
+            _dataset_sweep, dataset_name, config.scale_divisor(),
+            tuple(fractions), tuple(estimators), runs, seed,
+        )
     label = "mean ratio error" if metric == "error" else "stddev / D"
     table = SeriesTable(
         title=(
-            f"{label} over all {n_columns} columns of {dataset_label} "
-            f"(n={n_rows_label:,})"
+            f"{label} over all {sweep.n_columns} columns of {sweep.dataset_label} "
+            f"(n={sweep.n_rows:,})"
         ),
         x_name="rate",
         x_values=[f"{f:.1%}" for f in fractions],
     )
-    for name, values in rows.items():
-        table.add_series(name, values)
+    for estimator in make_estimators(estimators):
+        table.add_series(
+            estimator.name,
+            [_column_mean(point, estimator.name, metric) for point in sweep.points],
+        )
     return table
 
 

@@ -2,10 +2,26 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 import pytest
 
+from repro.experiments import executor
 from repro.frequency import FrequencyProfile
+
+
+@pytest.fixture(autouse=True)
+def _isolated_memo() -> Iterator[None]:
+    """Start and end every test with an empty per-process memo.
+
+    Exhibit runners reuse memoized sweeps, columns and datasets, so a
+    test that monkeypatches env vars or dataset builders must never read
+    another test's cached results.
+    """
+    executor.clear_memo()
+    yield
+    executor.clear_memo()
 
 
 @pytest.fixture
