@@ -39,7 +39,6 @@ from repro.experiments import config, run_experiment
 from repro.experiments.report import SeriesTable
 from repro.obs import OBS, LogHistogram
 from repro.resilience import atomic_write
-from repro.sampling.kernels import kernel_info
 
 # Wall-time registries for the BENCH_perf.json report.  ``_EXHIBIT_TIMES``
 # holds the experiment compute alone (timed inside run_exhibit, excluding
@@ -59,22 +58,6 @@ _TEST_TIMES: dict[str, float] = {}
 # when the suite runs without REPRO_TELEMETRY=1.
 _POINT_SPANS = ("sweep.point", "harness.evaluate_column")
 _EXHIBIT_POINT_HISTS: dict[str, LogHistogram] = {}
-
-# Before/after timings of the kernel-tier microbenchmarks
-# (``bench_perf_kernels.py``): name -> {"legacy_seconds", "fast_seconds",
-# "speedup"}.  The committed ``BENCH_perf.baseline.json`` pins the
-# speedup column; ``scripts/check_perf_baseline.py`` gates on it.
-_KERNEL_TIMES: dict[str, dict[str, float]] = {}
-
-
-def record_kernel_times(name: str, legacy_seconds: float, fast_seconds: float) -> None:
-    """Register one before/after kernel measurement for the perf report."""
-    _KERNEL_TIMES[name] = {
-        "legacy_seconds": round(legacy_seconds, 6),
-        "fast_seconds": round(fast_seconds, 6),
-        "speedup": round(legacy_seconds / max(fast_seconds, 1e-12), 3),
-    }
-
 
 def run_exhibit(benchmark, exhibit_id: str, **kwargs) -> SeriesTable:
     """Run one registered exhibit under the benchmark timer and print it."""
@@ -215,13 +198,10 @@ def pytest_sessionfinish(session, exitstatus):
         "trials": config.trials(),
         "workers": config.workers(),
         "seed_mode": config.seed_mode(),
-        "kernel": kernel_info(),
         "exhibits": _exhibit_entries(),
         "tests": {k: round(v, 4) for k, v in sorted(_TEST_TIMES.items())},
         "total_seconds": round(sum(_TEST_TIMES.values()), 4),
     }
-    if _KERNEL_TIMES:
-        report["kernels"] = dict(sorted(_KERNEL_TIMES.items()))
     telemetry = _telemetry_totals()
     if telemetry is not None:
         report["telemetry"] = telemetry

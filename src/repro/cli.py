@@ -44,9 +44,7 @@ Commands
     span aggregates, and manifest of a telemetry run.
 ``perfdiff``
     Diff two perf reports (``BENCH_perf.json``) or telemetry runs and
-    exit nonzero on regressions past ``--threshold``; ``--gate`` runs
-    the kernel-speedup floor check CI uses against
-    ``BENCH_perf.baseline.json``.
+    exit nonzero when a metric grew past ``--threshold``.
 
 Global flags: ``--log-level {debug,info,warning,error}`` (or ``-v`` /
 ``-vv``) control the ``repro`` package logger; any command run with
@@ -66,7 +64,6 @@ Examples
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -494,43 +491,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_json_document(path: str) -> dict:
-    source = Path(path)
-    if not source.exists():
-        raise InvalidParameterError(f"no perf report at {source}")
-    try:
-        document = json.loads(source.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as error:
-        raise InvalidParameterError(f"{source}: not JSON ({error.msg})") from None
-    if not isinstance(document, dict):
-        raise InvalidParameterError(f"{source}: expected a JSON object")
-    return document
-
-
 def _cmd_perfdiff(args: argparse.Namespace) -> int:
-    from repro.obs.perfdiff import (
-        diff_metrics,
-        gate_report,
-        load_metrics,
-        render_diff,
-    )
+    from repro.obs.perfdiff import diff_metrics, load_metrics, render_diff
 
-    if args.gate:
-        result = gate_report(
-            _load_json_document(args.before),
-            _load_json_document(args.after),
-            tolerance=args.tolerance,
-        )
-        print(result.table)
-        if result.failures:
-            for failure in result.failures:
-                _log.error("FAIL %s", failure)
-            _log.error(
-                "if the change is intentional, refresh the baseline from the "
-                "current report (see docs/performance.md)"
-            )
-            return 1
-        return 0
     diff = diff_metrics(
         load_metrics(args.before),
         load_metrics(args.after),
@@ -773,8 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threshold",
         type=float,
         default=0.25,
-        help="fractional bad-direction move that counts as a regression "
-        "(default: 0.25)",
+        help="fractional growth that counts as a regression (default: 0.25)",
     )
     perfdiff.add_argument(
         "--min-value",
@@ -783,19 +745,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="min_value",
         help="ignore metrics below this absolute value on both sides "
         "(noise floor for smoke-scale micro-timings)",
-    )
-    perfdiff.add_argument(
-        "--gate",
-        action="store_true",
-        help="kernel-speedup floor mode: BEFORE is the committed baseline, "
-        "AFTER the fresh report; every tracked kernel must keep "
-        "baseline*(1-tolerance)",
-    )
-    perfdiff.add_argument(
-        "--tolerance",
-        type=float,
-        help="gate-mode tolerance override (default: the baseline file's "
-        "own tolerance field, 0.25 if absent)",
     )
     perfdiff.set_defaults(func=_cmd_perfdiff)
     return parser

@@ -326,10 +326,17 @@ class DistinctValueEstimator(ABC):
                 )
             results.append(result)
         if OBS.enabled:
+            # The counter keeps the batch's total seconds; the histogram
+            # gets one per-estimate sample per result, the unit the scalar
+            # path observes, so its count equals the calls counter.
+            # ``max(..., 1)`` restates the non-empty batch (early return
+            # above) in a form the interval prover can discharge.
             elapsed = time.perf_counter() - started
             OBS.add(f"estimator.calls.{self.name}", len(results))
             OBS.add(f"estimator.seconds.{self.name}", elapsed)
-            OBS.observe(f"estimator.seconds.{self.name}", elapsed)
+            per_estimate = elapsed / max(len(results), 1)
+            for _ in results:
+                OBS.observe(f"estimator.seconds.{self.name}", per_estimate)
         return results
 
     def _validate_batch(self, batch: FrequencyProfileBatch, n: int) -> None:

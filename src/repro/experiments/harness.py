@@ -29,7 +29,6 @@ from repro.errors import InvalidParameterError
 from repro.frequency.batch import FrequencyProfileBatch
 from repro.obs.recorder import OBS
 from repro.sampling.base import RowSampler
-from repro.sampling.kernels import realized_kernel
 from repro.sampling.schemes import UniformWithoutReplacement
 
 __all__ = ["EstimatorSummary", "EvaluationResult", "evaluate_column"]
@@ -137,31 +136,18 @@ def evaluate_column(
             # whole profile stack in one estimate_batch call (vectorized
             # where the estimator has a kernel, the scalar loop where
             # not).  Results land in the same per-estimator lists in the
-            # same trial order as the historical profile-major loop, so
-            # every downstream number is unchanged; REPRO_KERNEL=legacy
-            # keeps the historical loop itself for A/B verification.
-            if realized_kernel() == "legacy":
-                for profile in profiles:
-                    for estimator in estimators:
-                        outcome = estimator.estimate(profile, n)
-                        estimates[estimator.name].append(outcome.value)
-                        errors[estimator.name].append(
-                            ratio_error(outcome.value, true_distinct)
-                        )
-                        if outcome.interval is not None:
-                            lowers[estimator.name].append(outcome.interval.lower)
-                            uppers[estimator.name].append(outcome.interval.upper)
-            else:
-                batch = FrequencyProfileBatch.from_profiles(profiles)
-                for estimator in estimators:
-                    for outcome in estimator.estimate_batch(batch, n):
-                        estimates[estimator.name].append(outcome.value)
-                        errors[estimator.name].append(
-                            ratio_error(outcome.value, true_distinct)
-                        )
-                        if outcome.interval is not None:
-                            lowers[estimator.name].append(outcome.interval.lower)
-                            uppers[estimator.name].append(outcome.interval.upper)
+            # same trial order as a profile-major loop of scalar
+            # estimates, so every downstream number is unchanged.
+            batch = FrequencyProfileBatch.from_profiles(profiles)
+            for estimator in estimators:
+                for outcome in estimator.estimate_batch(batch, n):
+                    estimates[estimator.name].append(outcome.value)
+                    errors[estimator.name].append(
+                        ratio_error(outcome.value, true_distinct)
+                    )
+                    if outcome.interval is not None:
+                        lowers[estimator.name].append(outcome.interval.lower)
+                        uppers[estimator.name].append(outcome.interval.upper)
 
     summaries = {}
     for estimator in estimators:

@@ -20,7 +20,7 @@ The subsystem has three parts (full reference: ``docs/observability.md``):
   (``repro trace --chrome``) and folded flamegraph stacks
   (``repro trace --flame``) from the same run files.
 * :mod:`repro.obs.perfdiff` — ``repro perfdiff``: diff two perf
-  reports or telemetry runs, plus the kernel-speedup CI gate.
+  reports or telemetry runs and flag metrics that grew past a threshold.
 
 Instrumented call sites guard with ``if OBS.enabled:`` (counters in hot
 loops) or call ``OBS.span(...)`` (which no-ops when disabled); telemetry
@@ -52,13 +52,11 @@ from repro.obs.manifest import (
 )
 from repro.obs.perfdiff import (
     DEFAULT_THRESHOLD,
-    GateResult,
     MetricDelta,
     PerfDiff,
     diff_metrics,
     flatten_perf_report,
     flatten_run_metrics,
-    gate_report,
     load_metrics,
     render_diff,
 )
@@ -88,7 +86,6 @@ __all__ = [
     "ENV_DIR",
     "ENV_FLAG",
     "ENV_MEM",
-    "GateResult",
     "LogHistogram",
     "MANIFEST_SCHEMA",
     "MetricDelta",
@@ -109,7 +106,6 @@ __all__ = [
     "flatten_perf_report",
     "flatten_run_metrics",
     "folded_stacks",
-    "gate_report",
     "knob_snapshot",
     "load_metrics",
     "load_run",

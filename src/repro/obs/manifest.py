@@ -70,7 +70,6 @@ def build_manifest(
     attach run-specific fields (an exhibit id, an output path).
     """
     from repro._version import __version__
-    from repro.sampling.kernels import kernel_info
 
     try:
         import numpy
@@ -90,7 +89,6 @@ def build_manifest(
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "numpy": numpy_version,
-        "kernel": kernel_info(),
         "resilience": {
             "faults": os.environ.get("REPRO_FAULTS") or None,
             "fault_seed": os.environ.get("REPRO_FAULT_SEED") or None,

@@ -1,21 +1,12 @@
-"""Diffing performance reports: ``repro perfdiff A B`` and the CI gate.
+"""Diffing performance reports: ``repro perfdiff A B``.
 
-Two complementary modes over ``BENCH_perf.json``-style reports and
-telemetry JSONL runs:
-
-* **diff** — flatten both inputs to ``key -> value`` metric tables
-  (:func:`load_metrics`), compare shared keys, and flag any metric that
-  moved past a configurable threshold in its *bad* direction
-  (:func:`diff_metrics`).  Time- and count-like metrics regress upward;
-  ``kernels.<name>.speedup`` ratios regress downward.  The CLI exits
-  nonzero when regressions remain, so two artifact files from different
-  CI runs can gate a merge directly.
-* **gate** — the kernel-speedup floor check that
-  ``scripts/check_perf_baseline.py`` historically implemented
-  (:func:`gate_report`): every kernel tracked by the committed
-  ``BENCH_perf.baseline.json`` must be measured and must keep at least
-  ``baseline * (1 - tolerance)`` of its speedup.  The script now
-  delegates here; CI calls ``repro perfdiff --gate``.
+Both inputs — ``BENCH_perf.json``-style reports or telemetry JSONL
+runs — are flattened to ``key -> value`` metric tables
+(:func:`load_metrics`); shared keys are compared and any metric that
+grew past a configurable threshold is flagged (:func:`diff_metrics`).
+Every tracked metric (seconds, counts, quantiles) regresses upward.
+The CLI exits nonzero when regressions remain, so two artifact files
+from different CI runs can gate a merge directly.
 
 Pure functions end to end — loading, flattening, diffing, rendering all
 return values; printing and exit codes belong to the CLI layer.
@@ -24,7 +15,7 @@ return values; printing and exit codes belong to the CLI layer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -33,30 +24,17 @@ from repro.obs.trace import RunData, load_run
 
 __all__ = [
     "DEFAULT_THRESHOLD",
-    "GateResult",
     "MetricDelta",
     "PerfDiff",
     "diff_metrics",
     "flatten_perf_report",
     "flatten_run_metrics",
-    "gate_report",
     "load_metrics",
     "render_diff",
 ]
 
-#: Default fractional move (in the bad direction) that counts as a
-#: regression — matching the kernel gate's historical 25% tolerance.
+#: Default fractional growth that counts as a regression.
 DEFAULT_THRESHOLD = 0.25
-
-
-def _higher_is_better(key: str) -> bool:
-    """Direction of goodness for a metric key.
-
-    Speedup ratios are the only tracked metrics where bigger is better;
-    everything else (seconds, counts, bytes, quantiles) regresses by
-    growing.
-    """
-    return key.endswith(".speedup")
 
 
 @dataclass(frozen=True)
@@ -74,14 +52,9 @@ class MetricDelta:
             return 0.0
         return (self.after - self.before) / self.before
 
-    @property
-    def severity(self) -> float:
-        """Fractional move in the metric's *bad* direction (signed)."""
-        return -self.change if _higher_is_better(self.key) else self.change
-
     def regressed(self, threshold: float) -> bool:
-        """Whether the bad-direction move exceeds ``threshold``."""
-        return self.severity > threshold
+        """Whether the metric grew by more than ``threshold``."""
+        return self.change > threshold
 
 
 @dataclass(frozen=True)
@@ -121,10 +94,6 @@ def flatten_perf_report(data: Mapping[str, Any]) -> dict[str, float]:
     total = data.get("total_seconds")
     if isinstance(total, (int, float)):
         metrics["total.seconds"] = float(total)
-    for name, entry in (data.get("kernels") or {}).items():
-        speedup = entry.get("speedup") if isinstance(entry, Mapping) else None
-        if isinstance(speedup, (int, float)):
-            metrics[f"kernels.{name}.speedup"] = float(speedup)
     telemetry = data.get("telemetry") or {}
     for name, entry in (telemetry.get("spans") or {}).items():
         seconds = entry.get("seconds") if isinstance(entry, Mapping) else None
@@ -201,7 +170,7 @@ def diff_metrics(
     ]
     deltas = sorted(
         (MetricDelta(key, before[key], after[key]) for key in shared),
-        key=lambda delta: (-delta.severity, delta.key),
+        key=lambda delta: (-delta.change, delta.key),
     )
     return PerfDiff(
         deltas=deltas,
@@ -225,13 +194,13 @@ def render_diff(diff: PerfDiff, limit: int = 20) -> str:
     """
     regressed = diff.regressions
     rest = [delta for delta in diff.deltas if not delta.regressed(diff.threshold)]
-    rest = sorted(rest, key=lambda delta: (-abs(delta.severity), delta.key))[:limit]
+    rest = sorted(rest, key=lambda delta: (-abs(delta.change), delta.key))[:limit]
     rows: list[tuple[str, str, str, str, str]] = []
     for delta in regressed + rest:
         flag = ""
         if delta.regressed(diff.threshold):
             flag = "REGRESSED"
-        elif delta.severity < -diff.threshold:
+        elif delta.change < -diff.threshold:
             flag = "improved"
         rows.append(
             (
@@ -261,74 +230,3 @@ def render_diff(diff: PerfDiff, limit: int = 20) -> str:
     )
     return "\n".join(lines)
 
-
-@dataclass(frozen=True)
-class GateResult:
-    """Outcome of the kernel-speedup floor check."""
-
-    table: str
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True when every tracked kernel met its floor."""
-        return not self.failures
-
-
-def gate_report(
-    baseline: Mapping[str, Any],
-    report: Mapping[str, Any],
-    tolerance: float | None = None,
-) -> GateResult:
-    """The perf-smoke gate: measured kernel speedups vs the baseline.
-
-    Every kernel in ``baseline["kernels"]`` must appear in the report
-    (a missing measurement is itself a failure) with a speedup of at
-    least ``baseline * (1 - tolerance)``; ``tolerance`` defaults to the
-    baseline file's own ``tolerance`` field (0.25 if absent).
-    """
-    if "kernels" not in baseline:
-        raise InvalidParameterError(
-            "baseline has no 'kernels' section; is this BENCH_perf.baseline.json?"
-        )
-    resolved = (
-        tolerance if tolerance is not None else float(baseline.get("tolerance", 0.25))
-    )
-    measured = report.get("kernels", {})
-    failures: list[str] = []
-    rows: list[tuple[str, str, str, str, str]] = []
-    for name, entry in sorted(baseline["kernels"].items()):
-        floor = entry["speedup"] * (1.0 - resolved)
-        current = measured.get(name, {}).get("speedup")
-        if current is None:
-            rows.append(
-                (name, f"{entry['speedup']:.2f}x", f"{floor:.2f}x", "—", "MISSING")
-            )
-            failures.append(f"{name}: not measured (missing from the report)")
-            continue
-        ok = current >= floor
-        rows.append(
-            (
-                name,
-                f"{entry['speedup']:.2f}x",
-                f"{floor:.2f}x",
-                f"{current:.2f}x",
-                "ok" if ok else "REGRESSED",
-            )
-        )
-        if not ok:
-            failures.append(
-                f"{name}: speedup {current:.2f}x is below the floor {floor:.2f}x "
-                f"(baseline {entry['speedup']:.2f}x - {resolved:.0%})"
-            )
-    header = ("kernel", "baseline", "floor", "now", "")
-    widths = [max(len(row[i]) for row in rows + [header]) for i in range(5)]
-    lines = [
-        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        for row in [header] + rows
-    ]
-    if not failures:
-        lines.append(
-            f"all {len(rows)} tracked kernel speedups within {resolved:.0%} of baseline"
-        )
-    return GateResult(table="\n".join(lines), failures=failures)

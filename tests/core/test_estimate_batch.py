@@ -132,9 +132,11 @@ def test_batch_enforces_requires_before_kernel():
 
 
 def test_batch_telemetry_counts_match_scalar_loop():
+    """Same ``estimator.calls.*`` on both paths, and on each path the
+    ``estimator.seconds.<name>`` histogram holds one sample per call."""
     profiles = SAMPLED[:4]
     n = 10**6
-    for name in ("GEE", "HYBVAR", "HYBSKEW", "UJ2"):
+    for name in available_estimators():
         counters = []
         for mode in ("scalar", "batch"):
             OBS.reset()
@@ -150,6 +152,10 @@ def test_batch_telemetry_counts_match_scalar_loop():
             calls = {
                 k: v for k, v in OBS.counters().items() if k.startswith("estimator.calls.")
             }
+            assert f"estimator.calls.{name}" in calls, (name, mode)
+            for key, value in calls.items():
+                timed = key.replace("estimator.calls.", "estimator.seconds.", 1)
+                assert OBS.histogram(timed).count == value, (name, mode, key)
             counters.append(calls)
             OBS.reset()
             OBS.disable()

@@ -89,32 +89,75 @@ class TestRealizedSampleSize:
 
 
 class TestKernelTierIdentity:
-    """REPRO_KERNEL=legacy (historical loops) vs the batched fast path."""
+    """The historical per-trial scalar loop vs the batched fast path.
+
+    The reference loop lives here: one draw per trial from the same
+    stream, each profile fed to every estimator's scalar ``estimate``,
+    then summarized with the harness's own formulas.  ``evaluate_column`` (estimator-major
+    ``estimate_batch``) must match it to the last bit.
+    """
 
     ESTIMATORS = [
         "GEE", "AE", "Shlosser", "ModShlosser", "SJ", "UJ2", "JK1",
         "JK2", "Chao84", "Scale", "HYBGEE", "HYBSKEW", "HYBVAR", "DUJ2A",
     ]
+    TRIALS = 6
 
-    def _evaluate(self, monkeypatch, kernel, zipf_exponent=1.2):
+    @staticmethod
+    def _column():
         import numpy as np
 
         from repro.data import zipf_column
 
-        monkeypatch.setenv("REPRO_KERNEL", kernel)
-        column = zipf_column(20_000, zipf_exponent, rng=np.random.default_rng(31))
-        return evaluate_column(
+        return zipf_column(20_000, 1.2, rng=np.random.default_rng(31))
+
+    def _scalar_loop(self, column):
+        import math
+
+        import numpy as np
+
+        from repro.core.base import ratio_error
+        from repro.sampling import UniformWithoutReplacement
+
+        sampler = UniformWithoutReplacement()
+        rng = np.random.default_rng(97)
+        estimators = make_estimators(self.ESTIMATORS)
+        values = {e.name: [] for e in estimators}
+        for _ in range(self.TRIALS):
+            profile = sampler.profile(column.values, rng, fraction=0.05)
+            for estimator in estimators:
+                values[estimator.name].append(
+                    estimator.estimate(profile, column.n_rows).value
+                )
+        truth = column.distinct_count
+        fields = {}
+        for name, estimates in values.items():
+            mean = math.fsum(estimates) / self.TRIALS
+            errors = [ratio_error(v, truth) for v in estimates]
+            variance = math.fsum((v - mean) ** 2 for v in estimates) / (
+                self.TRIALS - 1
+            )
+            fields[name] = {
+                "mean_estimate": mean,
+                "mean_ratio_error": math.fsum(errors) / self.TRIALS,
+                "max_ratio_error": max(errors),
+                "std_fraction": math.sqrt(variance) / truth,
+            }
+        return fields
+
+    def test_legacy_and_fast_paths_bit_identical(self):
+        import numpy as np
+
+        column = self._column()
+        reference = self._scalar_loop(column)
+        fast = evaluate_column(
             column,
             make_estimators(self.ESTIMATORS),
             np.random.default_rng(97),
             fraction=0.05,
-            trials=6,
+            trials=self.TRIALS,
         )
-
-    def test_legacy_and_fast_paths_bit_identical(self, monkeypatch):
-        legacy = self._evaluate(monkeypatch, "legacy")
-        fast = self._evaluate(monkeypatch, "numpy")
-        assert legacy == fast
+        assert sorted(fast.summaries) == sorted(self.ESTIMATORS)
         for name in self.ESTIMATORS:
             for field in (
                 "mean_estimate",
@@ -122,6 +165,6 @@ class TestKernelTierIdentity:
                 "max_ratio_error",
                 "std_fraction",
             ):
-                left = getattr(legacy[name], field)
+                left = reference[name][field]
                 right = getattr(fast[name], field)
                 assert left.hex() == right.hex(), (name, field)

@@ -1,9 +1,7 @@
-"""`repro perfdiff`: report flattening, diff directionality, the CI gate.
+"""`repro perfdiff`: report flattening and diff thresholds.
 
-The diff must regress in the right direction per metric family (seconds
-grow = bad, ``.speedup`` shrinks = bad), and ``--gate`` must reproduce
-the historical ``scripts/check_perf_baseline.py`` semantics: floor =
-baseline speedup × (1 − tolerance), a missing measurement is a failure.
+Every tracked metric regresses upward: a metric that grew past the
+threshold is a regression, one that shrank never is.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from repro.obs.perfdiff import (
     diff_metrics,
     flatten_perf_report,
     flatten_run_metrics,
-    gate_report,
     load_metrics,
     render_diff,
 )
@@ -33,7 +30,6 @@ _REPORT = {
     },
     "tests": {"benchmarks/bench_x.py::test_y": 3.0},
     "total_seconds": 7.0,
-    "kernels": {"reduction": {"legacy_seconds": 1.0, "fast_seconds": 0.5, "speedup": 2.0}},
     "telemetry": {"spans": {"sweep.run": {"count": 3, "seconds": 4.5}}},
 }
 
@@ -48,12 +44,17 @@ class TestFlatten:
         assert "exhibits.fig3.p50" not in metrics
         assert metrics["exhibits.fig3.seconds"] == 0.5
 
-    def test_flattens_kernels_tests_and_spans(self):
+    def test_flattens_tests_and_spans(self):
         metrics = flatten_perf_report(_REPORT)
-        assert metrics["kernels.reduction.speedup"] == 2.0
         assert metrics["tests.benchmarks/bench_x.py::test_y.seconds"] == 3.0
         assert metrics["total.seconds"] == 7.0
         assert metrics["telemetry.spans.sweep.run.seconds"] == 4.5
+
+    def test_ignores_the_retired_kernels_section(self):
+        # Reports written before the legacy kernels were removed carry a
+        # "kernels" section of speedup ratios; it no longer flattens.
+        older = {**_REPORT, "kernels": {"reduction": {"speedup": 2.0}}}
+        assert flatten_perf_report(older) == flatten_perf_report(_REPORT)
 
     def test_flattens_telemetry_runs(self, tmp_path):
         records = [
@@ -101,16 +102,6 @@ class TestDiff:
             {"a.seconds": 1.5}, {"a.seconds": 1.0}, threshold=0.25
         ).regressions
 
-    def test_speedups_regress_downward(self):
-        faster = diff_metrics(
-            {"k.reduction.speedup": 2.0}, {"k.reduction.speedup": 4.0}, threshold=0.25
-        )
-        assert not faster.regressions
-        slower = diff_metrics(
-            {"k.reduction.speedup": 2.0}, {"k.reduction.speedup": 1.0}, threshold=0.25
-        )
-        assert [delta.key for delta in slower.regressions] == ["k.reduction.speedup"]
-
     def test_threshold_is_exclusive(self):
         within = diff_metrics({"a.seconds": 1.0}, {"a.seconds": 1.25}, threshold=0.25)
         assert not within.regressions
@@ -154,33 +145,3 @@ class TestDiff:
         assert "REGRESSED" in rendered
         assert "1 regression(s)" in rendered
 
-
-class TestGate:
-    _BASELINE = {"tolerance": 0.25, "kernels": {"reduction": {"speedup": 2.0}}}
-
-    def _report(self, speedup):
-        return {"kernels": {"reduction": {"speedup": speedup}}}
-
-    def test_passes_at_the_floor(self):
-        result = gate_report(self._BASELINE, self._report(1.5))
-        assert result.ok
-        assert "ok" in result.table
-
-    def test_fails_below_the_floor(self):
-        result = gate_report(self._BASELINE, self._report(1.49))
-        assert not result.ok
-        assert "below the floor 1.50x" in result.failures[0]
-
-    def test_missing_kernel_is_a_failure(self):
-        result = gate_report(self._BASELINE, {"kernels": {}})
-        assert not result.ok
-        assert "MISSING" in result.table
-        assert "not measured" in result.failures[0]
-
-    def test_tolerance_override(self):
-        assert not gate_report(self._BASELINE, self._report(1.5), tolerance=0.1).ok
-        assert gate_report(self._BASELINE, self._report(1.5), tolerance=0.3).ok
-
-    def test_baseline_without_kernels_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            gate_report({"tolerance": 0.25}, self._report(2.0))

@@ -1,9 +1,9 @@
-"""Tests for the reduction kernels and the ``REPRO_KERNEL`` knob.
+"""Tests for the single-pass profile reduction kernel.
 
-The contract is the one the module docstring states: every kernel is
-interchangeable with ``[FrequencyProfile.from_sample(s) for s in
-samples]`` — and with every other kernel — bit for bit, including the
-dict insertion order the estimators' accumulation loops depend on.
+The contract is the one :mod:`repro.sampling.batch` states: the batched
+reduction is interchangeable with ``[FrequencyProfile.from_sample(s) for
+s in samples]`` bit for bit, including the dict insertion order the
+estimators' accumulation loops depend on.
 """
 
 from __future__ import annotations
@@ -11,18 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import InvalidParameterError
 from repro.frequency import FrequencyProfile
 from repro.sampling import profiles_from_samples
-from repro.sampling.kernels import (
-    KERNELS,
-    available_kernels,
-    kernel_info,
-    numba_available,
-    realized_kernel,
-    reduce_samples,
-    requested_kernel,
-)
 
 rng = np.random.default_rng(11)
 
@@ -53,46 +43,10 @@ ADVERSARIAL = [
 ]
 
 
-class TestKnob:
-    def test_default_is_auto_resolving_to_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert requested_kernel() == "auto"
-        assert realized_kernel() == "numpy"
-
-    def test_env_selection_and_validation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "legacy")
-        assert requested_kernel() == "legacy"
-        assert realized_kernel() == "legacy"
-        monkeypatch.setenv("REPRO_KERNEL", "turbo")
-        with pytest.raises(InvalidParameterError):
-            requested_kernel()
-
-    def test_numba_degrades_to_numpy_when_missing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "numba")
-        realized = realized_kernel()
-        if numba_available():
-            assert realized == "numba"
-        else:
-            assert realized == "numpy"
-
-    def test_kernel_info_snapshot(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        info = kernel_info()
-        assert info["requested"] == "numpy"
-        assert info["realized"] == "numpy"
-        assert info["numba_available"] == numba_available()
-
-    def test_available_kernels_are_recognized(self):
-        assert set(available_kernels()) <= set(KERNELS)
-        assert "legacy" in available_kernels()
-        assert "numpy" in available_kernels()
-
-
 class TestKernelIdentity:
-    @pytest.mark.parametrize("kernel", ["legacy", "numpy", "numba"])
-    def test_matches_serial_from_sample(self, kernel):
+    def test_matches_serial_from_sample(self):
         arrays = _trials_int()
-        profiles = profiles_from_samples(arrays, kernel=kernel)
+        profiles = profiles_from_samples(arrays)
         expected = [FrequencyProfile.from_sample(a) for a in arrays]
         assert profiles == expected
         # Insertion order, not just dict equality: estimators iterate
@@ -101,23 +55,9 @@ class TestKernelIdentity:
             assert list(got.counts.items()) == list(want.counts.items())
 
     @pytest.mark.parametrize("arrays", ADVERSARIAL, ids=lambda a: f"{len(a)}trials-{np.asarray(a[0]).dtype}")
-    @pytest.mark.parametrize("kernel", ["legacy", "numpy", "numba"])
-    def test_adversarial_inputs(self, arrays, kernel):
-        histograms = reduce_samples([np.asarray(a) for a in arrays], kernel)
+    def test_adversarial_inputs(self, arrays):
+        profiles = profiles_from_samples([np.asarray(a) for a in arrays])
         expected = [FrequencyProfile.from_sample(np.asarray(a)) for a in arrays]
-        assert [FrequencyProfile(h) for h in histograms] == expected
-        for hist, want in zip(histograms, expected):
-            assert list(hist.items()) == list(want.counts.items())
-
-    def test_kernels_agree_pairwise(self):
-        arrays = _trials_int(trials=5, size=2_000, domain=10_000)
-        reference = reduce_samples(arrays, "legacy")
-        for kernel in ("numpy", "numba"):
-            assert reduce_samples(arrays, kernel) == reference
-
-    def test_env_knob_reaches_reduction(self, monkeypatch):
-        arrays = _trials_int(trials=3)
-        monkeypatch.setenv("REPRO_KERNEL", "legacy")
-        via_env = profiles_from_samples(arrays)
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        assert profiles_from_samples(arrays) == via_env
+        assert profiles == expected
+        for got, want in zip(profiles, expected):
+            assert list(got.counts.items()) == list(want.counts.items())
