@@ -8,7 +8,7 @@ Paper findings this bench checks:
 
 from __future__ import annotations
 
-from conftest import series_is_nonincreasing
+from conftest import paper_scale, series_is_nonincreasing
 
 
 def test_fig2_error_vs_rate_highskew(exhibit):
@@ -23,4 +23,13 @@ def test_fig2_error_vs_rate_highskew(exhibit):
     assert total_hybgee < total_hybskew
     assert table.value("HYBGEE", rates[0]) < table.value("HYBSKEW", rates[0])
     for name in ("GEE", "AE", "HYBGEE", "HYBSKEW"):
-        assert series_is_nonincreasing(table.series[name], slack=0.5), name
+        assert table.series[name][-1] <= table.series[name][0], name
+    # Step-by-step monotonicity is a claim about the paper's column
+    # (D = 110); scaled-down runs leave a couple of dozen classes, where
+    # a few trials' means wobble by more than the slack (at
+    # REPRO_SCALE=20 and 3 trials, 119 of 300 seeds break it although
+    # the 300-trial means fall at every step), so it only applies at
+    # full scale.
+    if paper_scale():
+        for name in ("GEE", "AE", "HYBGEE", "HYBSKEW"):
+            assert series_is_nonincreasing(table.series[name], slack=0.5), name

@@ -99,8 +99,8 @@ def workers() -> int:
 def seed_mode() -> str:
     """Seeding protocol from ``REPRO_SEED_MODE`` (default ``auto``).
 
-    ``legacy`` threads one shared generator through a sweep exactly as
-    the serial runners always have (bit-reproducing historical numbers);
+    ``legacy`` threads one shared generator through a sweep in the
+    serial runners' historical call order;
     ``spawn`` derives an independent child seed per grid point, making
     results identical for every worker count; ``auto`` picks ``legacy``
     on a single worker and ``spawn`` otherwise.

@@ -16,8 +16,8 @@ Grid sweeps run under either of two seeding protocols (selected by
 :mod:`repro.experiments.executor` and ``docs/performance.md``):
 
 * **legacy** (the default on a single worker): one generator threads
-  sequentially through column generation and every grid point, exactly
-  reproducing the numbers of earlier releases;
+  sequentially through column generation and every grid point, in the
+  historical call order;
 * **spawn**: every grid point draws from an independent child stream
   derived from the root seed and its grid index, and shared inputs
   (columns, datasets) derive theirs from their specification — results

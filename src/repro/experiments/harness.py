@@ -6,13 +6,15 @@ profile once and feed the *same* profile to every estimator; report per
 estimator the mean ratio error over trials and the standard deviation of
 its estimates as a fraction of the true distinct count.
 
-The trial samples are drawn through the sampler's batched fast path
-(:meth:`~repro.sampling.base.RowSampler.profile_batch`), which reduces
-all ``T`` trials to profiles in one vectorized pass while consuming the
-random stream exactly as the historical one-trial-at-a-time loop did —
-estimators are pure functions of the profile, so hoisting the draws
-ahead of the estimates leaves every number bit-identical.  Custom
-samplers without a batch path fall back to the serial loop.
+The trial profiles come from one
+:meth:`~repro.sampling.base.RowSampler.profile_batch` call on the
+:class:`~repro.data.column.Column` itself, so a scheme with a
+class-count law draws them from the column's class sizes whenever its
+crossover says that is cheaper than drawing rows; otherwise the rows of
+all ``T`` trials are reduced to profiles in one vectorized pass.  Either
+way the batch equals ``T`` successive ``profile`` calls on the same
+generator, and estimators are pure functions of the profile, so
+hoisting the draws ahead of the estimates changes no number.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ def evaluate_column(
         if OBS.enabled:
             OBS.add("harness.evaluations")
         profiles = sampler.profile_batch(
-            column.values, rng, trials, size=size, fraction=fraction
+            column, rng, trials, size=size, fraction=fraction
         )
         realized_sample_size = round(
             math.fsum(p.sample_size for p in profiles) / trials

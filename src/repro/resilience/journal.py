@@ -10,7 +10,7 @@ used — the merged result is bit-identical.
 
 File layout (one JSON object per line)::
 
-    {"ev": "journal", "schema": 1, "sweep": "<config hash>",
+    {"ev": "journal", "schema": 2, "sweep": "<config hash>",
      "seed": 0, "points": 6, "task": "repro.experiments.figures:_evaluate_point"}
     {"ev": "point", "index": 0, "key": "0:0x7a5c:0", "attempt": 0,
      "result": "<base64 pickle>", "crc": 1234567}
@@ -59,7 +59,11 @@ from repro.resilience.atomic import atomic_write
 __all__ = ["JOURNAL_SCHEMA", "SweepJournal", "sweep_config_hash", "task_key"]
 
 #: Version of the journal line layout; bumped on incompatible changes.
-JOURNAL_SCHEMA = 1
+#: 2: the line layout is unchanged, but sweep points on Columns now draw
+#: their profiles from class counts, a different random stream; the
+#: sweep hash covers the config, not the code, so a schema-1 journal
+#: would otherwise resume by merging old-stream points with new ones.
+JOURNAL_SCHEMA = 2
 
 _log = logging.getLogger(__name__)
 

@@ -5,7 +5,10 @@ random from the table" (paper §2), with or without replacement.  The
 samplers in this package produce such samples from a column held as a
 1-D numpy array; they are the library's stand-in for the sampling
 operators of Olken's thesis and the SQL Server sampling hook the paper
-used (DESIGN.md §3).
+used (DESIGN.md §3).  Given a :class:`~repro.data.column.Column`
+instead of a bare array, schemes with a closed-form law over the
+column's class sizes may skip the rows and draw each value's sample
+multiplicity directly (:meth:`RowSampler.profile_batch`).
 
 Every sampler takes an explicit :class:`numpy.random.Generator` so that
 experiments are reproducible bit-for-bit.
@@ -20,10 +23,11 @@ from typing import Any
 import numpy as np
 import numpy.typing as npt
 
+from repro.data.column import Column
 from repro.errors import InvalidParameterError
 from repro.frequency.profile import FrequencyProfile
 from repro.obs.recorder import OBS
-from repro.sampling.batch import profiles_from_samples
+from repro.sampling.batch import profiles_from_counts, profiles_from_samples
 
 __all__ = ["RowSampler", "resolve_sample_size", "as_column"]
 
@@ -72,9 +76,16 @@ class RowSampler(ABC):
     """Draws a random sample of rows from a column.
 
     Subclasses define :meth:`_draw`; the public :meth:`sample` handles
-    size resolution and validation, and :meth:`profile` additionally
-    reduces the sample to its frequency profile — the quantity every
-    estimator consumes.
+    size resolution and validation, and :meth:`profile` /
+    :meth:`profile_batch` additionally reduce the sample to its
+    frequency profile — the quantity every estimator consumes.
+
+    Schemes whose per-class sample multiplicities follow a closed-form
+    law over the column's class sizes also define :meth:`_draw_counts`
+    and :meth:`_class_path_pays`; a :class:`~repro.data.column.Column`
+    passed to :meth:`profile` or :meth:`profile_batch` then draws its
+    profiles from class counts whenever that is cheaper than drawing
+    rows.
     """
 
     #: Stable identifier used in experiment configs and reports.
@@ -92,34 +103,25 @@ class RowSampler(ABC):
     ) -> npt.NDArray[Any]:
         """Draw a sample of rows from ``column``."""
         data = as_column(column)
-        r = resolve_sample_size(
-            data.size,
-            size=size,
-            fraction=fraction,
-            allow_oversample=not self.without_replacement,
-        )
-        return self._draw(data, r, rng)
+        return self._draw(data, self._sample_size(data.size, size, fraction), rng)
 
     def profile(
         self,
-        column: npt.ArrayLike,
+        column: npt.ArrayLike | Column,
         rng: np.random.Generator,
         size: int | None = None,
         fraction: float | None = None,
     ) -> FrequencyProfile:
-        """Draw a sample and return its frequency profile."""
-        with OBS.span(f"sample.{self.name}", trials=1):
-            profile = FrequencyProfile.from_sample(
-                self.sample(column, rng, size=size, fraction=fraction)
-            )
-        if OBS.enabled:
-            OBS.add("sample.trials", 1)
-            OBS.add("sample.rows_sampled", profile.sample_size)
-        return profile
+        """Draw a sample and return its frequency profile.
+
+        The one-trial case of :meth:`profile_batch`, taking the same
+        path.
+        """
+        return self._profiles(column, rng, 1, size, fraction)[0]
 
     def profile_batch(
         self,
-        column: npt.ArrayLike,
+        column: npt.ArrayLike | Column,
         rng: np.random.Generator,
         trials: int,
         size: int | None = None,
@@ -127,40 +129,103 @@ class RowSampler(ABC):
     ) -> list[FrequencyProfile]:
         """Draw ``trials`` independent samples and return their profiles.
 
-        Semantically identical to calling :meth:`profile` ``trials``
-        times with the same generator — including the order in which the
-        random stream is consumed, so the batched and serial paths
-        produce bit-for-bit equal profiles — but samplers that implement
-        :meth:`_draw_batch` amortize the per-trial reduction into a
-        single vectorized pass over all trials.  Samplers that do not
-        (any custom subclass) fall back to the serial loop.
+        Equal bit for bit to calling :meth:`profile` ``trials`` times
+        with the same generator, and leaves the stream at the same
+        position.  There are two paths:
+
+        * **rows** — every raw array, and a :class:`Column` whose scheme
+          has no class-count law or whose crossover favours rows.  The
+          trials' rows are drawn (:meth:`_draw_batch`) and reduced to
+          profiles in one vectorized pass; the stream is consumed
+          exactly as successive :meth:`_draw` calls consume it.
+        * **classes** — a :class:`Column` whose scheme defines
+          :meth:`_draw_counts`, when :meth:`_class_path_pays` for its
+          ``(D, n, r)``.  Each trial draws its per-class multiplicities
+          directly from the column's class sizes (taken in ascending
+          order, so the result depends only on their multiset) and the
+          matrix becomes profiles with one ``bincount``.  The profiles
+          have the row path's distribution but come from a different
+          random stream.
         """
         if trials < 1:
             raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-        data = as_column(column)
-        r = resolve_sample_size(
-            data.size,
+        return self._profiles(column, rng, trials, size, fraction)
+
+    def _sample_size(
+        self, population_size: int, size: int | None, fraction: float | None
+    ) -> int:
+        return resolve_sample_size(
+            population_size,
             size=size,
             fraction=fraction,
             allow_oversample=not self.without_replacement,
         )
+
+    def _profiles(
+        self,
+        column: npt.ArrayLike | Column,
+        rng: np.random.Generator,
+        trials: int,
+        size: int | None,
+        fraction: float | None,
+    ) -> list[FrequencyProfile]:
+        """Dispatch one :meth:`profile` / :meth:`profile_batch` call.
+
+        With telemetry on, the ``sample.<scheme>`` span carries the
+        chosen ``path`` and holds a ``sample.draw`` and a
+        ``sample.reduce`` child; the ``sample.path.<path>`` counter
+        tallies calls per path.
+        """
+        values = column.values if isinstance(column, Column) else as_column(column)
+        r = self._sample_size(values.size, size, fraction)
+        class_sizes: npt.NDArray[np.int64] | None = None
+        if isinstance(column, Column) and self._class_path_pays(
+            column.distinct_count, values.size, r
+        ):
+            class_sizes = column.class_sizes
+        path = "rows" if class_sizes is None else "classes"
         with OBS.span(
-            f"sample.{self.name}", trials=trials, requested_size=r
-        ) as span:
-            batch = self._draw_batch(data, r, rng, trials)
-            if batch is None:
-                if span.id is not None:
-                    span.attrs["path"] = "serial"
-                profiles = [
-                    FrequencyProfile.from_sample(self._draw(data, r, rng))
-                    for _ in range(trials)
-                ]
+            f"sample.{self.name}", trials=trials, requested_size=r, path=path
+        ):
+            if class_sizes is not None:
+                profiles = self._class_profiles(class_sizes, r, rng, trials)
             else:
-                profiles = profiles_from_samples(batch)
+                with OBS.span("sample.draw"):
+                    samples = self._draw_batch(values, r, rng, trials)
+                with OBS.span("sample.reduce"):
+                    # Equal either way, but a lone sample of a high-D
+                    # column reduces up to 30x faster on its own: the
+                    # batch's dense pair table spans the value range.
+                    profiles = (
+                        profiles_from_samples(samples)
+                        if trials > 1
+                        else [FrequencyProfile.from_sample(samples[0])]
+                    )
         if OBS.enabled:
+            OBS.add(f"sample.path.{path}")
             OBS.add("sample.trials", trials)
             OBS.add("sample.rows_sampled", sum(p.sample_size for p in profiles))
         return profiles
+
+    def _class_profiles(
+        self,
+        class_sizes: npt.NDArray[np.int64],
+        r: int,
+        rng: np.random.Generator,
+        trials: int,
+    ) -> list[FrequencyProfile]:
+        """The classes path: ``trials`` profiles drawn from class counts.
+
+        The sizes are taken in ascending order, so the profiles depend
+        only on their multiset, not on how the column orders its values.
+        """
+        with OBS.span("sample.draw"):
+            canonical = np.sort(class_sizes)
+            counts = np.stack(
+                [self._draw_counts(canonical, r, rng) for _ in range(trials)]
+            )
+        with OBS.span("sample.reduce"):
+            return profiles_from_counts(counts)
 
     @abstractmethod
     def _draw(
@@ -174,16 +239,43 @@ class RowSampler(ABC):
         r: int,
         rng: np.random.Generator,
         trials: int,
-    ) -> Sequence[npt.NDArray[Any]] | None:
+    ) -> Sequence[npt.NDArray[Any]]:
         """Draw ``trials`` samples for the batched profile reduction.
 
-        Returns one array of sampled values per trial, or ``None`` to
-        request the serial fallback.  Implementations MUST consume
-        ``rng`` exactly as ``trials`` successive :meth:`_draw` calls
-        would, so that batched and serial runs stay interchangeable bit
-        for bit under a fixed seed.
+        Returns one array of sampled values per trial.  The default is
+        ``trials`` successive :meth:`_draw` calls; an override MUST
+        consume ``rng`` exactly as they would, so that batched and
+        serial runs stay interchangeable bit for bit under a fixed seed.
         """
-        return None
+        return [self._draw(column, r, rng) for _ in range(trials)]
+
+    def _draw_counts(
+        self,
+        class_sizes: npt.NDArray[np.int64],
+        r: int,
+        rng: np.random.Generator,
+    ) -> npt.NDArray[np.int64]:
+        """One trial's per-class multiplicities, drawn without rows.
+
+        ``class_sizes`` holds the column's class sizes ``n_j`` (summing
+        to ``n``); the result holds how many rows of each class one
+        sample of target size ``r`` contains, with the same law as the
+        classes of :meth:`_draw`'s rows.  Schemes without a closed-form
+        law over class counts (Reservoir, Block, custom subclasses) do
+        not define it and stay row-based: their :meth:`_class_path_pays`
+        never selects this path.
+        """
+        raise NotImplementedError(f"{self.name} has no class-count law")
+
+    def _class_path_pays(self, distinct: int, n: int, r: int) -> bool:
+        """Whether drawing ``distinct`` class counts beats drawing rows.
+
+        Each scheme with a :meth:`_draw_counts` law states its measured
+        crossover here (see ``benchmarks/bench_perf_sampling.py``), and
+        only such a scheme may override this; the default keeps every
+        input on the row path.
+        """
+        return False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

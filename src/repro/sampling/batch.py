@@ -18,6 +18,11 @@ inserted in ascending ``(trial, frequency)`` order — the insertion order
 :class:`~repro.frequency.profile.FrequencyProfile` preserves and the
 estimators' accumulation loops depend on — so the batched reduction is
 interchangeable with the serial one bit for bit.
+
+Samplers that draw per-class multiplicities instead of rows (the
+class-count path of :meth:`~repro.sampling.base.RowSampler.profile_batch`)
+already hold pass 1's output; :func:`profiles_from_counts` runs pass 2
+on it.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from repro.errors import InvalidSampleError
 from repro.frequency.profile import FrequencyProfile
 from repro.obs.recorder import OBS
 
-__all__ = ["profiles_from_samples", "reduce_samples"]
+__all__ = ["profiles_from_counts", "profiles_from_samples", "reduce_samples"]
 
 #: Dense-key budget for the bincount passes: a key space larger than
 #: ``max(_DENSE_KEY_FACTOR * occupied, _DENSE_KEY_FLOOR)`` falls back to
@@ -146,21 +151,54 @@ def reduce_samples(arrays: list[npt.NDArray[Any]]) -> list[dict[int, int]]:
     pair_keys, multiplicities = _pair_counts_dense(
         trial_ids * n_codes + codes, len(arrays) * n_codes, total
     )
-    pair_trials = pair_keys // n_codes
+    return _multiplicity_histograms(
+        len(arrays), pair_keys // n_codes, multiplicities
+    )
 
-    # Pass 2: per trial, how many values occur with each multiplicity.
-    stride = max(int(multiplicities.max()) + 1, 1)
+
+def _multiplicity_histograms(
+    trials: int,
+    pair_trials: npt.NDArray[np.int64],
+    multiplicities: npt.NDArray[np.int64],
+) -> list[dict[int, int]]:
+    """Pass 2: per trial, how many values occur with each multiplicity.
+
+    ``pair_trials[k]`` is the trial of the ``k``-th occupied (trial,
+    value) pair, in ascending trial order, and ``multiplicities[k]`` its
+    positive multiplicity.
+    """
+    stride = max(int(multiplicities.max(initial=0)) + 1, 1)
     freq_keys, value_counts = _pair_counts_dense(
         pair_trials * stride + multiplicities,
-        len(arrays) * stride,
-        int(pair_keys.size),
+        trials * stride,
+        int(pair_trials.size),
     )
     return _build_histograms(
-        len(arrays),
+        trials,
         (freq_keys // stride).tolist(),
         (freq_keys % stride).tolist(),
         value_counts.tolist(),
     )
+
+
+def profiles_from_counts(
+    counts: npt.NDArray[np.int64],
+) -> list[FrequencyProfile]:
+    """One profile per row of a ``(trials, classes)`` multiplicity matrix.
+
+    ``counts[t, j]`` is how many times class ``j`` occurs in trial
+    ``t``'s sample (zero for a missed class), as the class-count
+    samplers draw it.  The matrix skips pass 1 of :func:`reduce_samples`
+    — the multiplicities are given — and goes straight to its pass 2,
+    so the profiles carry the same ascending-frequency insertion order
+    as the row path's.
+    """
+    pair_trials, classes = np.nonzero(counts)
+    multiplicities = counts[pair_trials, classes].astype(np.int64, copy=False)
+    histograms = _multiplicity_histograms(
+        counts.shape[0], pair_trials.astype(np.int64, copy=False), multiplicities
+    )
+    return [FrequencyProfile(h) for h in histograms]
 
 
 def profiles_from_samples(

@@ -14,6 +14,12 @@
   rows.  Cheap for a real system but *not* a uniform row sample;
   included for the sampling-design ablation, which shows how clustered
   layouts break the estimators' guarantees.
+
+The first three also draw profiles straight from a column's class sizes
+(the urn model: multivariate hypergeometric, multinomial, and one
+binomial per class).  Reservoir and Block stay row-based: Block's sample
+depends on the row layout, and Reservoir exists to exercise the
+streaming path.
 """
 
 from __future__ import annotations
@@ -37,6 +43,12 @@ __all__ = [
     "DEFAULT_SAMPLER",
 ]
 
+# Each scheme's _class_path_pays constant is how many rows the row path
+# must touch (r for the uniform schemes, n for Bernoulli) per class before
+# drawing class counts is cheaper, as timed by
+# benchmarks/bench_perf_sampling.py::test_profile_path_cost at n = 1M
+# (tables in docs/performance.md, "Class-count sampling").
+
 
 class UniformWithoutReplacement(RowSampler):
     """Simple random sample of ``r`` distinct rows."""
@@ -50,19 +62,22 @@ class UniformWithoutReplacement(RowSampler):
         indices = rng.choice(column.size, size=r, replace=False)
         return column[indices]
 
-    def _draw_batch(
+    def _draw_counts(
         self,
-        column: npt.NDArray[Any],
+        class_sizes: npt.NDArray[np.int64],
         r: int,
         rng: np.random.Generator,
-        trials: int,
-    ) -> Sequence[npt.NDArray[Any]]:
-        # The index draws stay per-trial: ``Generator.choice`` without
-        # replacement is O(r) and stream-dependent, whereas a batched
-        # Gumbel-key top-r would be O(n) per trial at the paper's rates
-        # (r/n <= 6.4%) *and* consume a different stream.  The batch win
-        # here is the shared profile reduction.
-        return [self._draw(column, r, rng) for _ in range(trials)]
+    ) -> npt.NDArray[np.int64]:
+        # r rows without replacement from an urn of n_j balls per class:
+        # the class multiplicities are multivariate hypergeometric.
+        return rng.multivariate_hypergeometric(class_sizes, r, method="marginals")
+
+    def _class_path_pays(self, distinct: int, n: int, r: int) -> bool:
+        # One hypergeometric marginal costs about three gathered and
+        # reduced rows.  The boundary is traded off: at r = 3.2 D the
+        # D = 5,000 cell (1.6%) loses 3 ms to rows, the D = 20,000 cell
+        # (6.4%) gains 9 ms; 4 D would give up the larger gain.
+        return 3 * distinct <= r
 
 
 class UniformWithReplacement(RowSampler):
@@ -90,6 +105,20 @@ class UniformWithReplacement(RowSampler):
         indices = rng.integers(0, column.size, size=(trials, r))
         return list(column[indices])
 
+    def _draw_counts(
+        self,
+        class_sizes: npt.NDArray[np.int64],
+        r: int,
+        rng: np.random.Generator,
+    ) -> npt.NDArray[np.int64]:
+        # r independent draws, class j with probability n_j / n.
+        n = int(class_sizes.sum())
+        return rng.multinomial(r, class_sizes / max(n, 1))
+
+    def _class_path_pays(self, distinct: int, n: int, r: int) -> bool:
+        # One multinomial step costs about six gathered and reduced rows.
+        return 6 * distinct <= r
+
 
 class Bernoulli(RowSampler):
     """Independent per-row inclusion with probability ``r / n``.
@@ -113,18 +142,26 @@ class Bernoulli(RowSampler):
             mask[rng.integers(0, column.size)] = True
         return column[mask]
 
-    def _draw_batch(
+    def _draw_counts(
         self,
-        column: npt.NDArray[Any],
+        class_sizes: npt.NDArray[np.int64],
         r: int,
         rng: np.random.Generator,
-        trials: int,
-    ) -> Sequence[npt.NDArray[Any]]:
-        # The coin flips are already one vectorized draw per trial; the
-        # draws stay in a per-trial loop so the rare empty-mask fallback
-        # consumes the stream at exactly the position the serial path
-        # would.  The batch win is the shared profile reduction.
-        return [self._draw(column, r, rng) for _ in range(trials)]
+    ) -> npt.NDArray[np.int64]:
+        # Each of a class's n_j rows is kept independently at rate r / n.
+        n = int(class_sizes.sum())
+        counts = rng.binomial(class_sizes, r / max(n, 1))
+        if not counts.any():
+            # The "at least one row" fallback: one uniform row, so its
+            # class is j with probability n_j / n.
+            row = rng.integers(0, n)
+            counts[np.searchsorted(np.cumsum(class_sizes), row, side="right")] = 1
+        return counts
+
+    def _class_path_pays(self, distinct: int, n: int, r: int) -> bool:
+        # The row path flips a coin for every one of the n rows; one
+        # binomial costs about four of those.
+        return 4 * distinct <= n
 
 
 class Reservoir(RowSampler):
@@ -162,15 +199,6 @@ class Reservoir(RowSampler):
             )
             reservoir[winner_slots] = column[tail[hits][::-1][winner_index]]
         return reservoir
-
-    def _draw_batch(
-        self,
-        column: npt.NDArray[Any],
-        r: int,
-        rng: np.random.Generator,
-        trials: int,
-    ) -> Sequence[npt.NDArray[Any]]:
-        return [self._draw(column, r, rng) for _ in range(trials)]
 
 
 class Block(RowSampler):
@@ -212,15 +240,6 @@ class Block(RowSampler):
         block_begins = np.repeat(cumulative[:needed] - sizes, sizes)
         rows = column[offsets + np.arange(offsets.size) - block_begins]
         return rows[:r]
-
-    def _draw_batch(
-        self,
-        column: npt.NDArray[Any],
-        r: int,
-        rng: np.random.Generator,
-        trials: int,
-    ) -> Sequence[npt.NDArray[Any]]:
-        return [self._draw(column, r, rng) for _ in range(trials)]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Block(block_size={self.block_size})"

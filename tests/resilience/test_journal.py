@@ -100,6 +100,20 @@ class TestRefusals:
         with pytest.raises(ResilienceError, match="schema"):
             SweepJournal(path).begin(HASH, seed=7, points=len(POINTS), resume=True)
 
+    def test_schema_1_journal_is_refused(self, tmp_path):
+        # Schema-1 journals hold points drawn on the row-only random
+        # stream; resuming one would mix them with class-count points.
+        path = tmp_path / "sweep.journal.jsonl"
+        _write_journal(path, {0: "a"})
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        assert header["schema"] == JOURNAL_SCHEMA == 2
+        header["schema"] = 1
+        lines[0] = json.dumps(header)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ResilienceError, match="schema 1"):
+            SweepJournal(path).begin(HASH, seed=7, points=len(POINTS), resume=True)
+
     def test_sweep_hash_mismatch_is_refused(self, tmp_path):
         path = tmp_path / "sweep.journal.jsonl"
         _write_journal(path, {0: "a"})

@@ -3,8 +3,10 @@
 The contract under test is strong: for every built-in scheme,
 ``profile_batch`` must be *bit-identical* to the serial
 one-``profile``-per-trial loop under the same seed — including the
-position the random stream is left at — because the experiment harness
-switched to the batch path while the historical results must not move.
+position the random stream is left at — on raw arrays and on Columns,
+on either side of the class-count crossover.  A raw array's batch must
+also match the historical row path, so code passing arrays keeps its
+numbers.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.data import Column, zipf_column
 from repro.errors import InvalidParameterError, InvalidSampleError
 from repro.frequency import FrequencyProfile
 from repro.sampling import (
@@ -33,8 +36,8 @@ SCHEMES = [
 ]
 
 
-def _column(seed: int = 5, n: int = 5_000) -> np.ndarray:
-    return np.random.default_rng(seed).integers(0, 400, size=n)
+def _column(seed: int = 5, n: int = 5_000, high: int = 400) -> np.ndarray:
+    return np.random.default_rng(seed).integers(0, high, size=n)
 
 
 class TestProfilesFromSamples:
@@ -93,6 +96,54 @@ class TestProfileBatchBitIdentity:
         )
         serial = sampler.profile(column, np.random.default_rng(3), size=100)
         assert batched == [serial]
+
+    @pytest.mark.parametrize("sampler", SCHEMES, ids=lambda s: s.name)
+    @pytest.mark.parametrize("distinct", [20, 4_000], ids=["classes", "rows"])
+    def test_columns_match_serial_loop(self, sampler, distinct):
+        # On a Column the hooked schemes take the class-count path when
+        # D is small (20 classes) and the row path when it is not; either
+        # way the batch equals the serial loop and leaves the stream at
+        # the same position.
+        column = Column("c", _column(n=5_000, high=distinct))
+        expect_classes = distinct == 20 and sampler.name in (
+            "srswor", "srswr", "bernoulli",
+        )
+        assert sampler._class_path_pays(
+            column.distinct_count, column.n_rows, 150
+        ) == expect_classes
+        rng_batch = np.random.default_rng(42)
+        rng_serial = np.random.default_rng(42)
+        batched = sampler.profile_batch(column, rng_batch, 6, fraction=0.03)
+        serial = [
+            sampler.profile(column, rng_serial, fraction=0.03) for _ in range(6)
+        ]
+        assert batched == serial
+        assert rng_batch.integers(0, 2**31) == rng_serial.integers(0, 2**31)
+        if not expect_classes:
+            # The row path on a Column is the raw array's path.
+            assert batched == sampler.profile_batch(
+                column.values, np.random.default_rng(42), 6, fraction=0.03
+            )
+
+    @pytest.mark.parametrize("sampler", SCHEMES, ids=lambda s: s.name)
+    def test_class_path_depends_only_on_the_size_multiset(self, sampler):
+        # The class sizes are drawn from in one canonical order, so a
+        # Column that caches its sizes sorted (as the generators do), the
+        # same values without the cache, and a relabelling of the values
+        # (same sizes, another value order) all give equal profiles.
+        cached = zipf_column(6_000, 1.0, duplication=50, rng=np.random.default_rng(8))
+        assert sampler._class_path_pays(cached.distinct_count, 6_000, 600) == (
+            sampler.name in ("srswor", "srswr", "bernoulli")
+        )
+        fresh = Column("fresh", cached.values)
+        labels = np.random.default_rng(9).permutation(cached.values.max() + 1)
+        relabelled = Column("relabelled", labels[cached.values])
+        assert not np.array_equal(fresh.class_sizes, relabelled.class_sizes)
+        runs = [
+            sampler.profile_batch(c, np.random.default_rng(10), 4, size=600)
+            for c in (cached, fresh, relabelled)
+        ]
+        assert runs[0] == runs[1] == runs[2]
 
     def test_trials_validation(self):
         with pytest.raises(InvalidParameterError):
