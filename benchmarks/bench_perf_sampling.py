@@ -13,6 +13,11 @@ values at n = 1M rows and the paper's six sampling rates (500k because
 Bernoulli's crossover lies between 200k and 500k).  The crossover
 constants in ``repro/sampling/schemes.py`` are read off these timings
 (``BENCH_perf.json``, ``tests`` entries).
+
+``test_data_layer_cost`` gives the data layer its own numbers: building
+the MSSales surrogate (20 columns of 1,996,290 rows at full scale),
+which holds only class sizes and layout seeds, and the first read of
+every column's ``values``, which lays the rows out.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import functools
 import numpy as np
 import pytest
 
-from repro.data import column_with_distinct, zipf_column
+from repro.data import column_with_distinct, mssales, zipf_column
 from repro.db import exact_distinct_hash, exact_distinct_sort
 from repro.experiments import config
 from repro.sampling import (
@@ -56,7 +61,8 @@ SCHEMES = {
 @pytest.mark.parametrize("name", sorted(SCHEMES))
 def test_sampler_cost(timed, name):
     sampler = SCHEMES[name]
-    sample = timed(lambda: sampler.sample(COLUMN.values, RNG, fraction=0.01))
+    values = COLUMN.values
+    sample = timed(lambda: sampler.sample(values, RNG, fraction=0.01))
     assert sample.size >= 1
 
 
@@ -65,8 +71,35 @@ def test_sampler_cost(timed, name):
     [("sort", exact_distinct_sort), ("hash", exact_distinct_hash)],
 )
 def test_exact_counter_cost(timed, name, counter):
-    result = timed(lambda: counter(COLUMN.values))
+    values = COLUMN.values
+    result = timed(lambda: counter(values))
     assert result == COLUMN.distinct_count
+
+
+def _mssales():
+    return mssales(np.random.default_rng(12), scale=1.0 / config.scale_divisor())
+
+
+@pytest.fixture
+def unread_mssales():
+    return _mssales()
+
+
+def test_data_layer_cost_build(timed):
+    dataset = timed(_mssales)
+    assert len(dataset) == 20
+    assert all(column._values is None for column in dataset)
+
+
+def test_data_layer_cost_first_read(benchmark, unread_mssales):
+    # A first read happens once per column, so this is one round at
+    # every scale; the dataset is built in the fixture, outside it.
+    rows = benchmark.pedantic(
+        lambda: sum(column.values.size for column in unread_mssales),
+        rounds=1,
+        iterations=1,
+    )
+    assert rows == sum(column.n_rows for column in unread_mssales)
 
 
 CROSSOVER_DISTINCT = (50, 5_000, 20_000, 200_000, 500_000)
@@ -96,9 +129,10 @@ def test_profile_path_cost(timed, name, path, distinct, fraction):
     rng = np.random.default_rng(11)
     if path == "rows":
         # A raw array always takes the row path.
+        values = column.values
         profiles = timed(
             lambda: sampler.profile_batch(
-                column.values, rng, CROSSOVER_TRIALS, fraction=fraction
+                values, rng, CROSSOVER_TRIALS, fraction=fraction
             )
         )
     else:

@@ -25,7 +25,13 @@ def test_table2_gee_interval_highskew(exhibit):
         if paper_scale():
             assert table.series["ACTUAL"][i] <= table.series["UPPER"][i]
     widths = [table.series["UPPER"][i] - table.series["LOWER"][i] for i in rows]
-    assert widths == sorted(widths, reverse=True)
+    # The interval narrows from the lowest rate to the top one at every
+    # scale (300 of 300 seeds at REPRO_SCALE=20 and 3 trials).  Narrowing
+    # at every step is a full-scale claim: on the scaled-down column two
+    # neighbouring 3-trial widths swap on 11 of those 300 seeds.
+    assert widths[-1] <= widths[0]
+    if paper_scale():
+        assert widths == sorted(widths, reverse=True)
     # By the top rate the interval has essentially collapsed onto D.
     actual = table.series["ACTUAL"][-1]
     assert widths[-1] <= 0.5 * actual

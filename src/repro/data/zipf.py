@@ -113,20 +113,23 @@ def shuffled_from_class_sizes(
     name: str = "synthetic",
     value_offset: int = 0,
 ) -> Column:
-    """Materialize a column from class sizes with a random row layout.
+    """A column of the given class sizes with a random row layout.
 
-    Value ``value_offset + i`` receives ``class_sizes[i]`` rows; rows are
-    then placed at uniformly random positions ("The layout of data for
-    each column was random", §6).
+    The rows sit at uniformly random positions ("The layout of data for
+    each column was random", §6), but the layout is built only when
+    something reads :attr:`Column.values`; under every scheme except
+    page-level Block the sample law depends on the class sizes alone.
+    Building takes exactly one 64-bit draw from ``rng``, the layout
+    seed, whatever the row count, so whether a layout is ever built
+    cannot shift any other random number.  The values are ids
+    ``value_offset + i``, the ``i``-th receiving the ``i``-th largest
+    class size, so a Zipf column's value 0 is its head.
     """
     sizes = np.asarray(class_sizes, dtype=np.int64)
     if sizes.size == 0 or (sizes <= 0).any():
         raise DataGenerationError("class sizes must be positive and non-empty")
-    values = np.repeat(
-        np.arange(value_offset, value_offset + sizes.size, dtype=np.int64), sizes
-    )
-    rng.shuffle(values)
-    return Column(name=name, values=values, _class_sizes=np.sort(sizes))
+    layout_seed = int(rng.integers(2**64, dtype=np.uint64))
+    return Column.from_class_sizes(name, sizes, layout_seed, value_offset)
 
 
 def zipf_column(

@@ -765,7 +765,7 @@ def stability_comparison(
         cv_total, err_total = 0.0, 0.0
         flips, branch_observations = 0, 0
         for _ in range(runs):
-            profile = sampler.profile(column.values, rng, fraction=fraction)
+            profile = sampler.profile(column, rng, fraction=fraction)
             summary = bootstrap_estimate(
                 estimator, profile, n, rng, replicates=replicates
             )

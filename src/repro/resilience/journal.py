@@ -63,7 +63,11 @@ __all__ = ["JOURNAL_SCHEMA", "SweepJournal", "sweep_config_hash", "task_key"]
 #: their profiles from class counts, a different random stream; the
 #: sweep hash covers the config, not the code, so a schema-1 journal
 #: would otherwise resume by merging old-stream points with new ones.
-JOURNAL_SCHEMA = 2
+#: 3: the line layout is unchanged, but building a column now takes one
+#: draw (its layout seed) instead of shuffling its rows, and the row
+#: path samples a Column's canonical layout: a third random stream, so a
+#: schema-2 journal would mix streams on resume the same way.
+JOURNAL_SCHEMA = 3
 
 _log = logging.getLogger(__name__)
 

@@ -94,6 +94,13 @@ class RowSampler(ABC):
     #: Whether the scheme guarantees no row is inspected twice.
     without_replacement: bool = True
 
+    #: Whether the sample's law depends on the row layout (Block's does,
+    #: and so, by default, does any scheme not known to be free of it).
+    #: A scheme that is layout-free in law sets this to ``False``: its
+    #: row path on a :class:`Column` then samples the column's canonical
+    #: layout instead of reading (and so laying out) :attr:`Column.values`.
+    reads_layout: bool = True
+
     def sample(
         self,
         column: npt.ArrayLike,
@@ -137,7 +144,11 @@ class RowSampler(ABC):
           has no class-count law or whose crossover favours rows.  The
           trials' rows are drawn (:meth:`_draw_batch`) and reduced to
           profiles in one vectorized pass; the stream is consumed
-          exactly as successive :meth:`_draw` calls consume it.
+          exactly as successive :meth:`_draw` calls consume it.  On a
+          :class:`Column` a scheme that does not read the layout draws
+          from :meth:`Column.canonical_layout`, so equals the raw-array
+          path on that array; only a layout-reading scheme (Block)
+          draws from :attr:`Column.values`.
         * **classes** — a :class:`Column` whose scheme defines
           :meth:`_draw_counts`, when :meth:`_class_path_pays` for its
           ``(D, n, r)``.  Each trial draws its per-class multiplicities
@@ -176,21 +187,28 @@ class RowSampler(ABC):
         ``sample.reduce`` child; the ``sample.path.<path>`` counter
         tallies calls per path.
         """
-        values = column.values if isinstance(column, Column) else as_column(column)
-        r = self._sample_size(values.size, size, fraction)
-        class_sizes: npt.NDArray[np.int64] | None = None
-        if isinstance(column, Column) and self._class_path_pays(
-            column.distinct_count, values.size, r
-        ):
-            class_sizes = column.class_sizes
-        path = "rows" if class_sizes is None else "classes"
+        if isinstance(column, Column):
+            n = column.n_rows
+            r = self._sample_size(n, size, fraction)
+            classes = self._class_path_pays(column.distinct_count, n, r)
+        else:
+            values = as_column(column)
+            r = self._sample_size(values.size, size, fraction)
+            classes = False
+        path = "classes" if classes else "rows"
         with OBS.span(
             f"sample.{self.name}", trials=trials, requested_size=r, path=path
         ):
-            if class_sizes is not None:
-                profiles = self._class_profiles(class_sizes, r, rng, trials)
+            if isinstance(column, Column) and classes:
+                profiles = self._class_profiles(column.class_sizes, r, rng, trials)
             else:
                 with OBS.span("sample.draw"):
+                    if isinstance(column, Column):
+                        values = (
+                            column.values
+                            if self.reads_layout
+                            else column.canonical_layout()
+                        )
                     samples = self._draw_batch(values, r, rng, trials)
                 with OBS.span("sample.reduce"):
                     # Equal either way, but a lone sample of a high-D

@@ -19,7 +19,9 @@ The first three also draw profiles straight from a column's class sizes
 (the urn model: multivariate hypergeometric, multinomial, and one
 binomial per class).  Reservoir and Block stay row-based: Block's sample
 depends on the row layout, and Reservoir exists to exercise the
-streaming path.
+streaming path.  Every scheme but Block is layout-free in law, so on a
+:class:`~repro.data.column.Column` its row path samples the column's
+canonical layout and never lays out the rows.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ class UniformWithoutReplacement(RowSampler):
 
     name = "srswor"
     without_replacement = True
+    reads_layout = False
 
     def _draw(
         self, column: npt.NDArray[Any], r: int, rng: np.random.Generator
@@ -85,6 +88,7 @@ class UniformWithReplacement(RowSampler):
 
     name = "srswr"
     without_replacement = False
+    reads_layout = False
 
     def _draw(
         self, column: npt.NDArray[Any], r: int, rng: np.random.Generator
@@ -130,6 +134,7 @@ class Bernoulli(RowSampler):
 
     name = "bernoulli"
     without_replacement = True
+    reads_layout = False
 
     # RowSampler.sample validates both before dispatching to _draw.
     @requires("r >= 1", "column.size >= 1")
@@ -175,6 +180,7 @@ class Reservoir(RowSampler):
 
     name = "reservoir"
     without_replacement = True
+    reads_layout = False
 
     def _draw(
         self, column: npt.NDArray[Any], r: int, rng: np.random.Generator

@@ -100,19 +100,27 @@ class TestRefusals:
         with pytest.raises(ResilienceError, match="schema"):
             SweepJournal(path).begin(HASH, seed=7, points=len(POINTS), resume=True)
 
-    def test_schema_1_journal_is_refused(self, tmp_path):
-        # Schema-1 journals hold points drawn on the row-only random
-        # stream; resuming one would mix them with class-count points.
-        path = tmp_path / "sweep.journal.jsonl"
+    @staticmethod
+    def _assert_older_schema_refused(path, schema):
         _write_journal(path, {0: "a"})
         lines = path.read_text().splitlines()
         header = json.loads(lines[0])
-        assert header["schema"] == JOURNAL_SCHEMA == 2
-        header["schema"] = 1
+        assert header["schema"] == JOURNAL_SCHEMA == 3
+        header["schema"] = schema
         lines[0] = json.dumps(header)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ResilienceError, match="schema 1"):
+        with pytest.raises(ResilienceError, match=f"schema {schema}"):
             SweepJournal(path).begin(HASH, seed=7, points=len(POINTS), resume=True)
+
+    def test_schema_1_journal_is_refused(self, tmp_path):
+        # Schema-1 journals hold points drawn on the row-only random
+        # stream; resuming one would mix them with class-count points.
+        self._assert_older_schema_refused(tmp_path / "sweep.journal.jsonl", 1)
+
+    def test_schema_2_journal_is_refused(self, tmp_path):
+        # Schema-2 journals hold points drawn on columns whose build
+        # shuffled their rows; the lazy layout draws one seed instead.
+        self._assert_older_schema_refused(tmp_path / "sweep.journal.jsonl", 2)
 
     def test_sweep_hash_mismatch_is_refused(self, tmp_path):
         path = tmp_path / "sweep.journal.jsonl"

@@ -6,7 +6,8 @@ one-``profile``-per-trial loop under the same seed — including the
 position the random stream is left at — on raw arrays and on Columns,
 on either side of the class-count crossover.  A raw array's batch must
 also match the historical row path, so code passing arrays keeps its
-numbers.
+numbers; a Column's row path is the raw-array path on its canonical
+layout (on its rows for Block).
 """
 
 from __future__ import annotations
@@ -120,9 +121,13 @@ class TestProfileBatchBitIdentity:
         assert batched == serial
         assert rng_batch.integers(0, 2**31) == rng_serial.integers(0, 2**31)
         if not expect_classes:
-            # The row path on a Column is the raw array's path.
+            # The row path on a Column is the raw array's path on the
+            # column's canonical layout, or on its rows for a scheme
+            # whose law reads the layout (Block).
+            rows = column.values if sampler.reads_layout else column.canonical_layout()
+            assert sampler.reads_layout == (sampler.name == "block")
             assert batched == sampler.profile_batch(
-                column.values, np.random.default_rng(42), 6, fraction=0.03
+                rows, np.random.default_rng(42), 6, fraction=0.03
             )
 
     @pytest.mark.parametrize("sampler", SCHEMES, ids=lambda s: s.name)

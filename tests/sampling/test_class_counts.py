@@ -15,6 +15,11 @@ it is checked three ways instead of bit for bit against the row path:
 * **a two-sample test**: the row path and the class path give the same
   distributions of ``d``, ``f1``, ``f2`` and the GEE estimate at several
   ``(D, r)`` points, at a stated significance level.
+
+The row path on a Column samples its canonical layout (the values in
+ascending runs) instead of its shuffled rows.  Every scheme but Block is
+layout-free in law, which the same two-sample test checks for the four
+layout-free schemes.
 """
 
 from __future__ import annotations
@@ -33,12 +38,19 @@ from repro.core.expectations import (
 )
 from repro.data import Column, column_with_distinct
 from repro.frequency import FrequencyProfile
-from repro.sampling import Bernoulli, UniformWithReplacement, UniformWithoutReplacement
+from repro.sampling import (
+    Bernoulli,
+    Reservoir,
+    UniformWithReplacement,
+    UniformWithoutReplacement,
+)
 from repro.sampling.batch import profiles_from_counts
 
 #: Every scheme with a class-count law.
 HOOKED = [UniformWithoutReplacement(), UniformWithReplacement(), Bernoulli()]
 FIXED_SIZE = [UniformWithoutReplacement(), UniformWithReplacement()]
+#: Every scheme whose row path on a Column samples the canonical layout.
+LAYOUT_FREE = [*HOOKED, Reservoir()]
 
 #: Two-sided z bound of the rate tests.  Under a correct law each mean
 #: is asymptotically normal, so one check falsely fails with probability
@@ -48,9 +60,9 @@ Z_BOUND = 4.5
 
 #: Per-comparison significance of the two-sample tests.  KS on discrete
 #: data is conservative, so each comparison falsely fails with
-#: probability <= ALPHA; over the 3 schemes x 3 points x 4 statistics =
-#: 36 comparisons the family-wise false-alarm rate is <= 36 * ALPHA
-#: = 0.36% (Bonferroni).
+#: probability <= ALPHA; over the (3 + 4) schemes x 3 points x 4
+#: statistics = 84 comparisons the family-wise false-alarm rate is
+#: <= 84 * ALPHA = 0.84% (Bonferroni).
 ALPHA = 1e-4
 
 
@@ -186,36 +198,56 @@ class TestRates:
         )
 
 
+def _statistics(profiles, n):
+    gee = [GEE().estimate(p, n).value for p in profiles]
+    return {
+        "d": [p.distinct for p in profiles],
+        "f1": [p.f1 for p in profiles],
+        "f2": [p.f2 for p in profiles],
+        "GEE": gee,
+    }
+
+
+def _assert_same_distributions(first, second, n):
+    by_first, by_second = _statistics(first, n), _statistics(second, n)
+    for name in by_first:
+        p = stats.ks_2samp(by_first[name], by_second[name]).pvalue
+        assert p >= ALPHA, (name, p)
+
+
+TRIALS = 2_000
+N = 10_000
+#: (D, r): few heavy classes, a mid point, and D far above r.
+POINTS = [(10, 100), (300, 1_000), (3_000, 500)]
+
+
 class TestRowsAndClassesAgree:
     """Two-sample KS tests of the row path against the class path."""
-
-    TRIALS = 2_000
-    N = 10_000
-    #: (D, r): few heavy classes, a mid point, and D far above r.
-    POINTS = [(10, 100), (300, 1_000), (3_000, 500)]
-
-    @staticmethod
-    def _statistics(profiles, n):
-        gee = [GEE().estimate(p, n).value for p in profiles]
-        return {
-            "d": [p.distinct for p in profiles],
-            "f1": [p.f1 for p in profiles],
-            "f2": [p.f2 for p in profiles],
-            "GEE": gee,
-        }
 
     @pytest.mark.parametrize("sampler", HOOKED, ids=lambda s: s.name)
     @pytest.mark.parametrize("distinct,r", POINTS)
     def test_same_distributions(self, sampler, distinct, r):
-        column = _column(self.N, distinct, seed=distinct)
+        column = _column(N, distinct, seed=distinct)
         rows = sampler.profile_batch(
-            column.values, np.random.default_rng(7), self.TRIALS, size=r
+            column.values, np.random.default_rng(7), TRIALS, size=r
         )
         classes = sampler._class_profiles(
-            column.class_sizes, r, np.random.default_rng(8), self.TRIALS
+            column.class_sizes, r, np.random.default_rng(8), TRIALS
         )
-        by_rows = self._statistics(rows, self.N)
-        by_classes = self._statistics(classes, self.N)
-        for name in by_rows:
-            p = stats.ks_2samp(by_rows[name], by_classes[name]).pvalue
-            assert p >= ALPHA, (name, p)
+        _assert_same_distributions(rows, classes, N)
+
+
+class TestCanonicalLayoutAgrees:
+    """Two-sample KS tests of the canonical layout against the shuffled rows."""
+
+    @pytest.mark.parametrize("sampler", LAYOUT_FREE, ids=lambda s: s.name)
+    @pytest.mark.parametrize("distinct,r", POINTS)
+    def test_same_distributions(self, sampler, distinct, r):
+        column = _column(N, distinct, seed=distinct)
+        canonical = sampler.profile_batch(
+            column.canonical_layout(), np.random.default_rng(9), TRIALS, size=r
+        )
+        shuffled = sampler.profile_batch(
+            column.values, np.random.default_rng(10), TRIALS, size=r
+        )
+        _assert_same_distributions(canonical, shuffled, N)
