@@ -22,8 +22,10 @@ consumers:
   residue the runtime checks cover;
 * **at runtime**, the clauses compile into optional asserts.  They are
   **off by default** (zero overhead beyond one flag check) and enabled
-  under ``REPRO_CONTRACTS=1`` — which the test suite and CI set — or via
-  :func:`set_runtime_checks`.
+  under ``REPRO_CONTRACTS=1`` — which the CI matrix sets — or via
+  :func:`set_runtime_checks`.  The environment is read once, at import;
+  the flag is a module global, so a contracted call never touches
+  ``os.environ``.  ``set_runtime_checks(None)`` re-reads it.
 
 Metadata is always attached (``__repro_contracts__``), so coverage gates
 can verify every public estimator carries a contract without enabling
@@ -71,24 +73,29 @@ _CLAUSE_GLOBALS: dict[str, Any] = {
 
 _NON_PARAMETER_NAMES = frozenset({"math"}) | frozenset(dir(builtins))
 
-_FORCED: bool | None = None
-
 
 class ContractViolationError(AssertionError):
     """A ``@requires``/``@ensures`` clause evaluated false at runtime."""
 
 
-def runtime_checks_enabled() -> bool:
-    """True when contract clauses are being evaluated on each call."""
-    if _FORCED is not None:
-        return _FORCED
+def _env_enabled() -> bool:
     return os.environ.get(ENV_FLAG, "") not in _DISABLED_VALUES
 
 
+#: The flag every contracted call checks: ``REPRO_CONTRACTS`` as read at
+#: import, until :func:`set_runtime_checks` changes it.
+_ENABLED: bool = _env_enabled()
+
+
+def runtime_checks_enabled() -> bool:
+    """True when contract clauses are being evaluated on each call."""
+    return _ENABLED
+
+
 def set_runtime_checks(enabled: bool | None) -> None:
-    """Force runtime checking on/off; ``None`` defers to ``REPRO_CONTRACTS``."""
-    global _FORCED
-    _FORCED = enabled
+    """Force runtime checking on/off; ``None`` re-reads ``REPRO_CONTRACTS``."""
+    global _ENABLED
+    _ENABLED = _env_enabled() if enabled is None else enabled
 
 
 def contract_clauses(func: Callable[..., Any]) -> dict[str, list[str]]:
@@ -220,7 +227,7 @@ def _contracted(func: F) -> F:
 
     @functools.wraps(func)
     def wrapper(*args: Any, **kwargs: Any) -> Any:
-        if not runtime_checks_enabled():
+        if not _ENABLED:
             return func(*args, **kwargs)
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()

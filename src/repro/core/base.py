@@ -47,6 +47,7 @@ __all__ = [
     "Estimate",
     "DistinctValueEstimator",
     "clamp_estimate",
+    "meter_estimates",
     "ratio_error",
     "relative_error",
 ]
@@ -66,6 +67,22 @@ def clamp_estimate(raw: float, sample_distinct: int, population_size: int) -> fl
     if raw == math.inf:
         return float(population_size)
     return float(min(max(raw, sample_distinct), population_size))
+
+
+def meter_estimates(name: str, count: int, elapsed: float) -> None:
+    """Record ``count`` estimates by ``name`` that took ``elapsed`` seconds.
+
+    For batched paths; callers check ``OBS.enabled`` first.  The
+    counter keeps the total seconds; the histogram gets one
+    per-estimate sample per estimate, the unit the scalar path
+    observes, so its count equals the calls counter.
+    """
+    OBS.add(f"estimator.calls.{name}", count)
+    OBS.add(f"estimator.seconds.{name}", elapsed)
+    # ``max(..., 1)`` keeps an empty batch from dividing by zero.
+    per_estimate = elapsed / max(count, 1)
+    for _ in range(count):
+        OBS.observe(f"estimator.seconds.{name}", per_estimate)
 
 
 def ratio_error(estimate: float, true_distinct: float) -> float:
@@ -326,17 +343,9 @@ class DistinctValueEstimator(ABC):
                 )
             results.append(result)
         if OBS.enabled:
-            # The counter keeps the batch's total seconds; the histogram
-            # gets one per-estimate sample per result, the unit the scalar
-            # path observes, so its count equals the calls counter.
-            # ``max(..., 1)`` restates the non-empty batch (early return
-            # above) in a form the interval prover can discharge.
-            elapsed = time.perf_counter() - started
-            OBS.add(f"estimator.calls.{self.name}", len(results))
-            OBS.add(f"estimator.seconds.{self.name}", elapsed)
-            per_estimate = elapsed / max(len(results), 1)
-            for _ in results:
-                OBS.observe(f"estimator.seconds.{self.name}", per_estimate)
+            meter_estimates(
+                self.name, len(results), time.perf_counter() - started
+            )
         return results
 
     def _validate_batch(self, batch: FrequencyProfileBatch, n: int) -> None:

@@ -40,6 +40,7 @@ from repro.frequency.profile import FrequencyProfile
 __all__ = [
     "BootstrapSummary",
     "bootstrap_profile",
+    "bootstrap_profiles",
     "bootstrap_estimate",
     "coefficient_of_variation",
 ]
@@ -65,18 +66,49 @@ def bootstrap_profile(
     resampling ``r`` rows with replacement draws new class counts from
     ``Multinomial(r, c_j / r)`` and drops classes that receive zero.
     """
+    return bootstrap_profiles(profile, rng, 1)[0]
+
+
+def bootstrap_profiles(
+    profile: FrequencyProfile, rng: np.random.Generator, k: int
+) -> list[FrequencyProfile]:
+    """``k`` bootstrap replicates drawn as one ``(k, d)`` count matrix.
+
+    Equal to ``k`` successive :func:`bootstrap_profile` calls: the same
+    profiles, each with the same dict insertion order (multiplicities in
+    order of first occurrence among the drawn class counts, as
+    :meth:`FrequencyProfile.from_multiplicities` builds them — AE and
+    Shlosser sum floats in that order), and the same generator state
+    afterwards, since ``multinomial(r, p, size=k)`` consumes the stream
+    exactly as ``k`` single draws do.
+    """
     r = profile.sample_size
     if r == 0:
         raise InvalidParameterError("cannot bootstrap an empty sample")
+    if k < 0:
+        raise InvalidParameterError(f"need k >= 0 replicates, got {k}")
     counts = np.repeat(
         [i for i, _ in profile], [c for _, c in profile]
     ).astype(np.float64)
     # The per-class counts sum to exactly r (sum_i i * f_i), so divide by
     # the validated sample size directly.
-    draws = rng.multinomial(r, counts / r)
-    return FrequencyProfile.from_multiplicities(
-        draws[draws > 0].tolist()
+    draws = rng.multinomial(r, counts / r, size=k)
+    # Key every drawn (replicate, multiplicity) pair; row-major nonzero
+    # order makes the first index of a key its first occurrence within
+    # its replicate, and sorting the keys by it restores that order.
+    replicates, classes = np.nonzero(draws)
+    multiplicities = draws[replicates, classes]
+    stride = r + 1
+    keys, first, tallies = np.unique(
+        replicates * stride + multiplicities,
+        return_index=True,
+        return_counts=True,
     )
+    order = np.argsort(first)
+    histograms: list[dict[int, int]] = [{} for _ in range(k)]
+    for key, tally in zip(keys[order].tolist(), tallies[order].tolist()):
+        histograms[key // stride][key % stride] = tally
+    return [FrequencyProfile(h) for h in histograms]
 
 
 def bootstrap_estimate(
@@ -87,7 +119,15 @@ def bootstrap_estimate(
     replicates: int = 200,
     confidence: float = 0.95,
 ) -> BootstrapSummary:
-    """Percentile-bootstrap interval and stddev for any estimator.
+    """Bootstrap variability band and stddev for any estimator.
+
+    The replicates are drawn together by :func:`bootstrap_profiles` and
+    estimated in one :meth:`~repro.core.DistinctValueEstimator.estimate_batch`
+    call, so the result equals a loop of :func:`bootstrap_profile` and
+    scalar ``estimate`` calls bit for bit.  One difference remains on
+    the error path: an estimator that raises on some replicate now does
+    so after all ``replicates`` draws, leaving ``rng`` further along
+    than the loop would have.
 
     Parameters
     ----------
@@ -107,10 +147,14 @@ def bootstrap_estimate(
             f"confidence must be in (0, 1), got {confidence}"
         )
     point = estimator.estimate(profile, population_size).value
-    values = np.empty(replicates)
-    for index in range(replicates):
-        replicate = bootstrap_profile(profile, rng)
-        values[index] = estimator.estimate(replicate, population_size).value
+    values = np.array(
+        [
+            estimate.value
+            for estimate in estimator.estimate_batch(
+                bootstrap_profiles(profile, rng, replicates), population_size
+            )
+        ]
+    )
     tail = (1.0 - confidence) / 2.0
     q_lo, q_hi = np.quantile(values, [tail, 1.0 - tail])
     # Variability band: replicate-quantile width, centred on the point

@@ -18,7 +18,6 @@ from typing import Mapping
 
 import numpy as np
 import numpy.typing as npt
-from scipy import stats
 
 from repro.contracts import ensures, requires
 from repro.core.base import DistinctValueEstimator, RawOutcome
@@ -27,7 +26,7 @@ from repro.estimators.jackknife import SmoothedJackknife
 from repro.estimators.shlosser import Shlosser
 from repro.frequency.batch import FrequencyProfileBatch, segment_sums_int
 from repro.frequency.profile import FrequencyProfile
-from repro.frequency.skew import chi_squared_skew_test
+from repro.frequency.skew import chi2_ppf, chi_squared_skew_test
 
 __all__ = ["HybridSkew"]
 
@@ -40,10 +39,11 @@ def _batched_skew_gate(
     """``(statistic, critical, high_skew)`` of the chi-squared gate per profile.
 
     The statistic ``(sum_i i^2 f_i)/(r/d) - r`` is integer-exact up to
-    the final two float operations, and scipy's ``chi2.ppf`` is bitwise
-    identical between scalar and array evaluation (evaluated once per
-    unique dof here).  ``p_value`` is deliberately not computed: the
-    hybrids never read it, and ``chi2.sf`` costs as much as the gate.
+    the final two float operations, and the chi-squared quantile is
+    bitwise identical between scalar and array evaluation (evaluated
+    once per unique dof here).  ``p_value`` is deliberately not
+    computed: the hybrids never read it, and ``chi2_sf`` costs as much
+    as the gate.
     """
     distinct = batch.distinct
     r = batch.sample_size
@@ -60,7 +60,7 @@ def _batched_skew_gate(
     if bool(tested.any()):
         unique_dof, inverse = np.unique(dof[tested], return_inverse=True)
         critical[tested] = np.asarray(
-            stats.chi2.ppf(1.0 - alpha, unique_dof), dtype=np.float64
+            chi2_ppf(1.0 - alpha, unique_dof), dtype=np.float64
         )[inverse]
     return statistic, critical, statistic > critical
 

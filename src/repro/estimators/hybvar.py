@@ -32,7 +32,8 @@ from repro.errors import InvalidParameterError
 from repro.estimators.jackknife import (
     DUJ2A,
     SmoothedJackknife,
-    _batched_jackknife_plugins,
+    _batched_cv_squared,
+    _second_moments,
     haas_stokes_cv_squared,
 )
 from repro.estimators.shlosser import ModifiedShlosser
@@ -109,17 +110,15 @@ class HybridVariance(DistinctValueEstimator):
     def _estimate_raw_batch(
         self, batch: FrequencyProfileBatch, population_size: int
     ) -> list[RawOutcome]:
-        # One batched smoothed-jackknife pass supplies the CV plug-ins;
-        # the CV itself stays per-profile Python (exact big-int moment
-        # fractions).  Each selected branch then evaluates once over the
-        # profiles it won via its own estimate_batch.
-        plugin = _batched_jackknife_plugins(batch, population_size)
-        gammas = [
-            haas_stokes_cv_squared(
-                profile, population_size, distinct_estimate=plugin.get(k)
-            )
-            for k, profile in enumerate(batch.profiles)
-        ]
+        # One batched CV pass, then each selected branch evaluates once
+        # over the profiles it won via its own estimate_batch.
+        gammas = _batched_cv_squared(
+            batch.distinct,
+            batch.sample_size,
+            batch.f1,
+            _second_moments(batch, batch.counts),
+            population_size,
+        ).tolist()
         branches = [self._branch_for(gamma_sq) for gamma_sq in gammas]
         values: list[float] = [0.0] * len(batch)
         # dict.fromkeys dedupes aliased branch objects by identity so an

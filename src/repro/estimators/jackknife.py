@@ -22,16 +22,28 @@ distinct values in the sample, ``f_i`` values sampled exactly ``i`` times.
 from __future__ import annotations
 
 import math
+import time
 from typing import Mapping
 
 import numpy as np
+import numpy.typing as npt
 from scipy import optimize
 
 from repro.contracts import ensures, requires
-from repro.core.base import DistinctValueEstimator, RawOutcome, clamp_estimate
+from repro.core.base import (
+    DistinctValueEstimator,
+    RawOutcome,
+    clamp_estimate,
+    meter_estimates,
+)
 from repro.errors import InvalidParameterError
-from repro.frequency.batch import FrequencyProfileBatch, gather_over_unique
+from repro.frequency.batch import (
+    FrequencyProfileBatch,
+    gather_over_unique,
+    segment_sums_int,
+)
 from repro.frequency.profile import FrequencyProfile
+from repro.obs.recorder import OBS
 
 __all__ = [
     "FirstOrderJackknife",
@@ -184,19 +196,32 @@ class SmoothedJackknife(DistinctValueEstimator):
     def _estimate_raw_batch(
         self, batch: FrequencyProfileBatch, population_size: int
     ) -> list[float]:
-        r = batch.sample_size
-        q = gather_over_unique(
-            r,
-            {int(rv): int(rv) / population_size for rv in np.unique(r).tolist()},
+        raw: list[float] = _batched_smoothed_jackknife(
+            batch.distinct, batch.sample_size, batch.f1, population_size
+        ).tolist()
+        return raw
+
+
+def _batched_smoothed_jackknife(
+    distinct: npt.NDArray[np.int64],
+    sample_size: npt.NDArray[np.int64],
+    f1: npt.NDArray[np.int64],
+    population_size: int | npt.NDArray[np.int64],
+) -> npt.NDArray[np.float64]:
+    """The smoothed jackknife's raw estimate per profile, bitwise the scalar one.
+
+    Takes each profile's ``d``, ``r >= 1`` and ``f_1``, and one
+    population size for all of them or one each (DUJ2A's reduced ``n'``
+    differs per profile).  For ``r, n < 2**53`` (any column that fits in
+    memory) numpy's ``r / n`` rounds exactly as Python's ``int / int``.
+    """
+    q = sample_size / population_size
+    denominator = 1.0 - (1.0 - q) * f1 / sample_size
+    with np.errstate(divide="ignore"):
+        raw: npt.NDArray[np.float64] = np.where(
+            denominator > 0.0, distinct / denominator, population_size
         )
-        denominator = 1.0 - (1.0 - q) * batch.f1 / r  # reprolint: disable=R101 - r is a sample-size vector, >= 1 by the batch requires
-        positive = denominator > 0.0
-        values = np.where(
-            positive,
-            batch.distinct / np.where(positive, denominator, 1.0),  # reprolint: disable=R101 - masked lanes divide by 1.0 and are discarded by the outer where
-            float(population_size),
-        )
-        return [float(value) for value in values.tolist()]
+    return raw
 
 
 class MethodOfMoments(DistinctValueEstimator):
@@ -279,25 +304,113 @@ def haas_stokes_cv_squared(
             f"distinct_estimate must be non-negative, got {distinct_estimate}"
         )
     m2 = profile.factorial_moment(2)
-    gamma_sq = distinct_estimate * ((n - 1) * m2 / (n * r * (r - 1)) + 1.0 / n) - 1.0
+    gamma_sq = distinct_estimate * (_moment_ratio(m2, r, n) + 1.0 / n) - 1.0
     return max(0.0, gamma_sq)
 
 
-def _batched_jackknife_plugins(
-    batch: FrequencyProfileBatch, population_size: int
-) -> dict[int, float]:
-    """Smoothed-jackknife plug-in values for every profile with ``r >= 2``.
+def _moment_ratio(moment: int, sample_size: int, population_size: int) -> float:
+    """``(n - 1) M2 / (n r (r - 1))`` for ``r >= 2``, in exact big-int arithmetic."""
+    return (population_size - 1) * moment / (
+        population_size * sample_size * (sample_size - 1)
+    )
 
-    :func:`haas_stokes_cv_squared` only consults the plug-in for samples
-    of at least two rows (below that the CV is defined as 0), so smaller
-    profiles are omitted — keeping the inner estimator's call count, and
-    with it the telemetry, identical to the scalar path.
+
+def _second_moments(
+    batch: FrequencyProfileBatch, counts: npt.NDArray[np.int64]
+) -> npt.NDArray[np.int64]:
+    """Per profile ``M2 = sum_i i (i-1) f_i``, exact, with ``counts`` as the ``f_i``.
+
+    ``counts`` is ``batch.counts`` or a masked copy of it (DUJ2A's
+    truncation).
     """
-    need = [k for k, p in enumerate(batch.profiles) if p.sample_size >= 2]
-    if not need:
-        return {}
-    inner = SmoothedJackknife().estimate_batch(batch.subset(need), population_size)
-    return {k: estimate.value for k, estimate in zip(need, inner)}
+    frequencies = batch.frequencies
+    return segment_sums_int(frequencies * (frequencies - 1) * counts, batch.indptr)
+
+
+def _batched_cv_squared(
+    distinct: npt.NDArray[np.int64],
+    sample_size: npt.NDArray[np.int64],
+    f1: npt.NDArray[np.int64],
+    moment: npt.NDArray[np.int64],
+    population_size: int | npt.NDArray[np.int64],
+) -> npt.NDArray[np.float64]:
+    """:func:`haas_stokes_cv_squared` with its default plug-in, per profile.
+
+    Takes each profile's ``d``, ``r >= 1``, ``f_1`` and ``M2``, with
+    ``population_size`` as for :func:`_batched_smoothed_jackknife`.
+    Bitwise equal to the scalar function: the smoothed-jackknife plug-in
+    is clamped by :func:`clamp_estimate` as its ``estimate`` clamps it,
+    and the moment ratio stays exact big-int arithmetic per profile.
+    Meters one smoothed-jackknife call per profile with ``r >= 2``, the
+    profiles whose scalar CV consults the plug-in.
+    """
+    started = time.perf_counter() if OBS.enabled else 0.0
+    plugin = _batched_smoothed_jackknife(
+        distinct, sample_size, f1, population_size
+    )
+    inverse_n = np.broadcast_to(1.0 / population_size, plugin.shape).tolist()
+    n_values = np.broadcast_to(population_size, plugin.shape).tolist()
+    gamma_sq = np.array(
+        [
+            max(
+                0.0,
+                clamp_estimate(raw, d, n) * (_moment_ratio(m2, r, n) + inverse)
+                - 1.0,
+            )
+            if r >= 2
+            else 0.0
+            for raw, d, r, m2, n, inverse in zip(
+                plugin.tolist(),
+                distinct.tolist(),
+                sample_size.tolist(),
+                moment.tolist(),
+                n_values,
+                inverse_n,
+            )
+        ],
+        dtype=np.float64,
+    )
+    if OBS.enabled:
+        meter_estimates(
+            SmoothedJackknife.name,
+            int((sample_size >= 2).sum()),
+            time.perf_counter() - started,
+        )
+    return gamma_sq
+
+
+def _batched_uj2(
+    distinct: npt.NDArray[np.int64],
+    sample_size: npt.NDArray[np.int64],
+    f1: npt.NDArray[np.int64],
+    moment: npt.NDArray[np.int64],
+    population_size: int | npt.NDArray[np.int64],
+) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.float64]]:
+    """``uj2``'s raw estimate and CV^2 per profile, bitwise the scalar ones.
+
+    Inputs as for :func:`_batched_cv_squared`; ``math.log1p`` is
+    evaluated per profile (numpy's ``log1p`` may differ from libm in
+    the last ulp).
+    """
+    gamma_sq = _batched_cv_squared(distinct, sample_size, f1, moment, population_size)
+    q = sample_size / population_size
+    log_one_minus_q = np.array(
+        [math.log1p(-value) if value < 1.0 else 0.0 for value in q.tolist()],
+        dtype=np.float64,
+    )
+    skew_correction = f1 * (1.0 - q) * log_one_minus_q * gamma_sq / q
+    denominator = 1.0 - (1.0 - q) * f1 / sample_size
+    with np.errstate(divide="ignore"):
+        raw = np.where(
+            q >= 1.0,
+            distinct,
+            np.where(
+                denominator > 0.0,
+                (distinct - skew_correction) / denominator,
+                population_size,
+            ),
+        )
+    return raw, gamma_sq
 
 
 class UnsmoothedSecondOrderJackknife(DistinctValueEstimator):
@@ -341,42 +454,17 @@ class UnsmoothedSecondOrderJackknife(DistinctValueEstimator):
     def _estimate_raw_batch(
         self, batch: FrequencyProfileBatch, population_size: int
     ) -> list[RawOutcome]:
-        # The closed form stays per-profile Python (its CV plug-in mixes
-        # exact big-int moments with floats), but the inner smoothed
-        # jackknife — the expensive part — is evaluated once for the
-        # whole batch through its own vector kernel.
-        plugin = _batched_jackknife_plugins(batch, population_size)
-        outcomes: list[RawOutcome] = []
-        for k, profile in enumerate(batch.profiles):
-            outcomes.append(
-                self._estimate_raw_with_plugin(
-                    profile, population_size, plugin.get(k)
-                )
-            )
-        return outcomes
-
-    def _estimate_raw_with_plugin(
-        self,
-        profile: FrequencyProfile,
-        population_size: int,
-        distinct_estimate: float | None,
-    ) -> RawOutcome:
-        """The scalar body with the CV plug-in supplied by the caller."""
-        r = profile.sample_size
-        n = population_size
-        q = r / n
-        d = profile.distinct
-        f1 = profile.f1
-        gamma_sq = haas_stokes_cv_squared(
-            profile, n, distinct_estimate=distinct_estimate
+        raw, gamma_sq = _batched_uj2(
+            batch.distinct,
+            batch.sample_size,
+            batch.f1,
+            _second_moments(batch, batch.counts),
+            population_size,
         )
-        if q >= 1.0:
-            return float(d), {"cv_squared": gamma_sq}
-        skew_correction = f1 * (1.0 - q) * math.log1p(-q) * gamma_sq / q
-        denominator = 1.0 - (1.0 - q) * f1 / r
-        if denominator <= 0.0:
-            return float(n), {"cv_squared": gamma_sq}
-        return (d - skew_correction) / denominator, {"cv_squared": gamma_sq}
+        return [
+            (value, {"cv_squared": cv_squared})
+            for value, cv_squared in zip(raw.tolist(), gamma_sq.tolist())
+        ]
 
 
 class DUJ2A(DistinctValueEstimator):
@@ -434,3 +522,64 @@ class DUJ2A(DistinctValueEstimator):
         )
         details["uj2_on_truncated"] = inner.value
         return removed_distinct + inner.value, details
+
+    def _estimate_raw_batch(
+        self, batch: FrequencyProfileBatch, population_size: int
+    ) -> list[RawOutcome]:
+        # ``profile.truncate(cutoff)`` as a mask over the CSR elements:
+        # the kept classes' d and r are exact integer segment sums, and
+        # f_1 survives any cutoff >= 1.
+        kept = np.where(batch.frequencies <= self.cutoff, batch.counts, 0)
+        kept_distinct = segment_sums_int(kept, batch.indptr)
+        kept_rows = segment_sums_int(batch.frequencies * kept, batch.indptr)
+        sample_size = batch.sample_size
+        # As in _batched_smoothed_jackknife, q rounds as the scalar r / n.
+        q = sample_size / population_size
+        removed_rows = sample_size - kept_rows
+        # np.rint rounds half to even, as round() does.
+        reduced_n = np.rint(
+            np.maximum(population_size - removed_rows / q, kept_rows)
+        ).astype(np.int64)
+        # The inner uj2 runs on the profiles that keep a row, each at its
+        # own reduced n, metered as the scalar path's UJ2 estimate calls.
+        started = time.perf_counter() if OBS.enabled else 0.0
+        active = np.flatnonzero(kept_rows > 0)
+        raw, _ = _batched_uj2(
+            kept_distinct[active],
+            kept_rows[active],
+            batch.f1[active],
+            _second_moments(batch, kept)[active],
+            reduced_n[active],
+        )
+        inner = {
+            k: clamp_estimate(value, d, n)
+            for k, value, d, n in zip(
+                active.tolist(),
+                raw.tolist(),
+                kept_distinct[active].tolist(),
+                reduced_n[active].tolist(),
+            )
+        }
+        if OBS.enabled:
+            meter_estimates(
+                UnsmoothedSecondOrderJackknife.name,
+                len(inner),
+                time.perf_counter() - started,
+            )
+        distinct = batch.distinct.tolist()
+        removed_distinct = (batch.distinct - kept_distinct).tolist()
+        outcomes: list[RawOutcome] = []
+        for k, removed in enumerate(removed_rows.tolist()):
+            details: dict[str, object] = {
+                "removed_distinct": removed_distinct[k],
+                "removed_sample_rows": removed,
+            }
+            value = inner.get(k)
+            if value is None:
+                outcomes.append(
+                    (float(removed_distinct[k] or distinct[k]), details)
+                )
+            else:
+                details["uj2_on_truncated"] = value
+                outcomes.append((removed_distinct[k] + value, details))
+        return outcomes

@@ -738,7 +738,7 @@ def stability_comparison(
     the 12.5 cut at every scale), so replicates genuinely flip branches.
     The hybrids score markedly worse than the smooth estimators.
     """
-    from repro.core.uncertainty import bootstrap_estimate
+    from repro.core.uncertainty import bootstrap_estimate, bootstrap_profiles
     from repro.data.synthetic import bounded_scaleup_column
 
     rng = np.random.default_rng(seed)
@@ -757,8 +757,6 @@ def stability_comparison(
         x_values=[e.name for e in suite],
         notes="cv = bootstrap replicate std / estimate, averaged over samples",
     )
-    from repro.core.uncertainty import bootstrap_profile
-
     runs = _trials(trials)
     cvs, errors, flip_rates = [], [], []
     for estimator in suite:
@@ -775,11 +773,14 @@ def stability_comparison(
             # hybrid to a different branch than the original sample did.
             original = estimator.estimate(profile, n).details.get("branch")
             if original is not None:
-                for _ in range(20):
-                    replicate = bootstrap_profile(profile, rng)
-                    branch = estimator.estimate(replicate, n).details.get("branch")
-                    branch_observations += 1
-                    flips += branch != original
+                branches = [
+                    e.details.get("branch")
+                    for e in estimator.estimate_batch(
+                        bootstrap_profiles(profile, rng, 20), n
+                    )
+                ]
+                branch_observations += len(branches)
+                flips += sum(branch != original for branch in branches)
         cvs.append(cv_total / runs)
         errors.append(err_total / runs)
         flip_rates.append(

@@ -25,12 +25,46 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy import stats
+import numpy as np
+import numpy.typing as npt
+from scipy import special
 
 from repro.errors import InvalidParameterError
 from repro.frequency.profile import FrequencyProfile
 
-__all__ = ["SkewTestResult", "chi_squared_skew_test", "is_high_skew"]
+__all__ = [
+    "SkewTestResult",
+    "chi2_ppf",
+    "chi2_sf",
+    "chi_squared_skew_test",
+    "is_high_skew",
+]
+
+
+def chi2_ppf(
+    probability: float, dof: int | npt.NDArray[np.int64]
+) -> np.float64 | npt.NDArray[np.float64]:
+    """Chi-squared quantile, bitwise ``scipy.stats.chi2.ppf(probability, dof)``.
+
+    The special function behind ``chi2.ppf``, called directly, so that
+    importing the package does not import ``scipy.stats`` (which would
+    dominate its import time).  ``dof`` may be an int or an int array.
+    """
+    quantile: np.float64 | npt.NDArray[np.float64] = 2 * special.gammaincinv(
+        dof / 2, probability
+    )
+    return quantile
+
+
+def chi2_sf(statistic: float, dof: int) -> float:
+    """Chi-squared upper tail, bitwise ``scipy.stats.chi2.sf(statistic, dof)``.
+
+    Below the support (``statistic < 0``, a rounding artifact of a
+    near-uniform sample) ``chdtrc`` gives NaN where ``chi2.sf`` gives 1.
+    """
+    if statistic < 0.0:
+        return 1.0
+    return float(special.chdtrc(dof, statistic))
 
 
 @dataclass(frozen=True)
@@ -81,8 +115,8 @@ def chi_squared_skew_test(
     sum_squares = sum(i * i * count for i, count in profile.counts.items())
     statistic = sum_squares / expected - r
     dof = d - 1
-    critical = float(stats.chi2.ppf(1.0 - alpha, dof))
-    p_value = float(stats.chi2.sf(statistic, dof))
+    critical = float(chi2_ppf(1.0 - alpha, dof))
+    p_value = chi2_sf(statistic, dof)
     return SkewTestResult(
         statistic=statistic,
         degrees_of_freedom=dof,

@@ -9,13 +9,29 @@ as estimator-stack code regardless of where the file really lives.
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
+import pytest
+
+from repro.analysis import lint_paths
 from repro.analysis.findings import Finding
 from repro.analysis.project import build_context
 from repro.analysis.rules import ProjectRule, all_rules
 from repro.analysis.source import SourceModule
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+@pytest.fixture(scope="session")
+def src_lint_report():
+    """``lint_paths([src])`` with the full rule set, linted once per session.
+
+    The tree-wide gates read the same report; linting ``src/`` takes
+    about ten seconds, so each gate re-linting it would multiply that.
+    """
+    return lint_paths([str(SRC)])
 
 
 def fixture_text(name: str) -> str:

@@ -9,21 +9,15 @@ the debt stays visible in the diff.
 
 from __future__ import annotations
 
-from pathlib import Path
 
-from repro.analysis import lint_paths
-
-_SRC = Path(__file__).resolve().parents[2] / "src"
-
-
-def test_source_tree_is_lint_clean():
-    report = lint_paths([str(_SRC)])
+def test_source_tree_is_lint_clean(src_lint_report):
+    report = src_lint_report
     rendered = "\n".join(finding.render() for finding in report.findings)
     assert report.exit_code == 0, f"reprolint findings in src/:\n{rendered}"
     assert report.parse_errors == 0
 
 
-def test_source_tree_scan_is_substantial():
+def test_source_tree_scan_is_substantial(src_lint_report):
     # Guard against the gate silently scanning nothing (e.g. a moved tree).
-    report = lint_paths([str(_SRC)])
+    report = src_lint_report
     assert report.files_scanned > 50

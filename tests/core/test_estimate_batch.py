@@ -40,6 +40,12 @@ ADVERSARIAL = [
     FrequencyProfile({10000: 1}),             # one huge class
     FrequencyProfile({1: 2, 3: 4, 7: 2, 50: 1}),
     FrequencyProfile({4: 25}),
+    # DUJ2A truncation (cutoff 50): every class above the cutoff, none
+    # above it (one exactly at it), and a mix.
+    FrequencyProfile({60: 3, 100: 2, 51: 1}),
+    FrequencyProfile({1: 20, 2: 10, 50: 3}),
+    FrequencyProfile({3: 5, 1: 30, 400: 1, 51: 2}),
+    FrequencyProfile({2: 1, 75: 4}),
 ]
 
 SAMPLED = [
@@ -160,3 +166,18 @@ def test_batch_telemetry_counts_match_scalar_loop():
             OBS.reset()
             OBS.disable()
         assert counters[0] == counters[1], name
+
+
+def test_duj2a_takes_its_vector_kernel(monkeypatch):
+    """DUJ2A's batch never falls back to its scalar body, and still
+    equals the scalar loop on the truncation-heavy profiles."""
+    estimator = make_estimator("DUJ2A")
+    n = 10**6
+    scalar = [estimator.estimate(p, n) for p in ADVERSARIAL + SAMPLED]
+
+    def scalar_body_called(*args, **kwargs):
+        raise AssertionError("DUJ2A fell back to the scalar loop")
+
+    monkeypatch.setattr(type(estimator), "_estimate_raw", scalar_body_called)
+    batched = estimator.estimate_batch(ADVERSARIAL + SAMPLED, n)
+    _assert_bitwise_equal(scalar, batched)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import GEE, HybridGEE, ratio_error
@@ -73,17 +74,40 @@ class TestAgainstHybskew:
 
 
 class TestInterval:
-    def test_interval_regardless_of_branch(self, rng):
-        for column in (
-            uniform_column(50_000, 500, rng=rng),
-            zipf_column(50_000, z=2.0, rng=rng),
+    def test_interval_regardless_of_branch(self):
+        # The low-skew (SJ) column and the high-skew (GEE) one.  Exact
+        # facts on every sample: the interval exists, d <= lower <= upper
+        # <= n, and the estimate lies in [d, n].  Then the rate: over 300
+        # samples per column, the one-sided 99% Clopper-Pearson lower
+        # bound on how often the interval holds the true D must clear
+        # 90%.  Measured on these seeds: 300 of 300 on each.
+        from scipy.stats import beta
+
+        samples = 300
+        for column, branch in (
+            (uniform_column(50_000, 500, rng=np.random.default_rng(11)), "SJ"),
+            (zipf_column(50_000, z=2.0, rng=np.random.default_rng(11)), "GEE"),
         ):
-            profile = UniformWithoutReplacement().profile(
-                column.values, rng, fraction=0.02
+            n = column.n_rows
+            profiles = UniformWithoutReplacement().profile_batch(
+                column, np.random.default_rng(12), samples, fraction=0.02
             )
-            result = HybridGEE().estimate(profile, column.n_rows)
-            assert result.interval is not None
-            assert result.interval.contains(column.distinct_count)
+            hits = 0
+            for profile, result in zip(
+                profiles, HybridGEE().estimate_batch(profiles, n)
+            ):
+                assert result.details["branch"] == branch
+                assert result.interval is not None
+                assert (
+                    profile.distinct
+                    <= result.interval.lower
+                    <= result.interval.upper
+                    <= n
+                )
+                assert profile.distinct <= result.value <= n
+                hits += result.interval.contains(column.distinct_count)
+            bound = beta.ppf(0.01, hits, samples - hits + 1) if hits else 0.0
+            assert bound >= 0.90, (branch, hits)
 
     def test_alpha_forwarded(self):
         estimator = HybridGEE(alpha=0.01)

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from repro.core import AE, GEE
+from repro.core.registry import make_estimator
 from repro.core.uncertainty import (
     BootstrapSummary,
     bootstrap_estimate,
     bootstrap_profile,
+    bootstrap_profiles,
     coefficient_of_variation,
 )
 from repro.data import uniform_column, zipf_column
+from repro.data.synthetic import bounded_scaleup_column
 from repro.errors import InvalidParameterError
 from repro.estimators import HybridSkew
 from repro.frequency import FrequencyProfile
@@ -48,7 +51,92 @@ class TestBootstrapProfile:
         assert total_rows == 200 * profile.sample_size
 
 
+def _serial_replicate(
+    profile: FrequencyProfile, rng: np.random.Generator
+) -> FrequencyProfile:
+    """One replicate drawn on its own: one multinomial draw, reduced by
+    ``from_multiplicities`` (first-occurrence insertion order)."""
+    r = profile.sample_size
+    counts = np.repeat(
+        [i for i, _ in profile], [c for _, c in profile]
+    ).astype(np.float64)
+    draws = rng.multinomial(r, counts / r)
+    return FrequencyProfile.from_multiplicities(draws[draws > 0].tolist())
+
+
+REPLICATED = [
+    {1: 3, 2: 1, 4: 1},
+    {1: 500},
+    {7: 1},
+    {2: 5, 7: 3, 1: 40, 30: 2},
+    {1: 120, 2: 31, 3: 9, 5: 4, 11: 2, 64: 1, 300: 1},
+]
+
+
+class TestBootstrapProfiles:
+    @pytest.mark.parametrize("counts", REPLICATED)
+    def test_equals_serial_loop(self, counts):
+        profile = FrequencyProfile(counts)
+        batched_rng = np.random.default_rng(3)
+        serial_rng = np.random.default_rng(3)
+        batched = bootstrap_profiles(profile, batched_rng, 40)
+        serial = [_serial_replicate(profile, serial_rng) for _ in range(40)]
+        assert [list(p.counts.items()) for p in batched] == [
+            list(p.counts.items()) for p in serial
+        ]
+        assert batched_rng.bit_generator.state == serial_rng.bit_generator.state
+
+    def test_zero_replicates_draw_nothing(self, small_profile):
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        assert bootstrap_profiles(small_profile, rng, 0) == []
+        assert rng.bit_generator.state == before
+
+    def test_validation(self, rng, small_profile):
+        with pytest.raises(InvalidParameterError):
+            bootstrap_profiles(FrequencyProfile.empty(), rng, 5)
+        with pytest.raises(InvalidParameterError):
+            bootstrap_profiles(small_profile, rng, -1)
+
+
 class TestBootstrapEstimate:
+    @pytest.mark.parametrize(
+        "name", ["AE", "GEE", "HYBGEE", "HYBSKEW", "HYBVAR", "DUJ2A"]
+    )
+    def test_equals_scalar_replicate_loop(self, name):
+        # The stability exhibit's workload, where hybrid replicates flip
+        # branches and DUJ2A truncates heavy classes.
+        n = 100_000
+        column = bounded_scaleup_column(
+            n, base_rows=1000, z=2.0, rng=np.random.default_rng(1)
+        )
+        estimator = make_estimator(name)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            profile = UniformWithoutReplacement().profile(
+                column, rng, fraction=0.01
+            )
+            summary = bootstrap_estimate(
+                estimator, profile, n, np.random.default_rng(seed), replicates=60
+            )
+            serial_rng = np.random.default_rng(seed)
+            point = estimator.estimate(profile, n).value
+            values = np.array(
+                [
+                    estimator.estimate(_serial_replicate(profile, serial_rng), n).value
+                    for _ in range(60)
+                ]
+            )
+            tail = (1.0 - 0.95) / 2.0  # the default confidence's tails
+            q_lo, q_hi = np.quantile(values, [tail, 1.0 - tail])
+            half_width = float(q_hi - q_lo) / 2.0
+            lower = min(max(point - half_width, float(profile.distinct)), float(n))
+            upper = min(max(point + half_width, lower), float(n))
+            assert summary.estimate.hex() == point.hex()
+            assert summary.std.hex() == float(values.std(ddof=1)).hex()
+            assert summary.interval.lower.hex() == lower.hex()
+            assert summary.interval.upper.hex() == upper.hex()
+
     def test_summary_fields(self, rng):
         column = uniform_column(10_000, 200, rng=rng)
         profile = UniformWithoutReplacement().profile(column.values, rng, size=500)

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.data import uniform_column, zipf_column
 from repro.errors import InvalidParameterError
 from repro.frequency import (
@@ -12,6 +18,7 @@ from repro.frequency import (
     chi_squared_skew_test,
     is_high_skew,
 )
+from repro.frequency.skew import chi2_ppf, chi2_sf
 from repro.sampling import UniformWithoutReplacement
 
 
@@ -68,3 +75,51 @@ class TestOnGeneratedData:
         assert strict.critical_value > loose.critical_value
         if not loose.high_skew:
             assert not strict.high_skew
+
+
+class TestChiSquaredSpecialFunctions:
+    """``chi2_ppf``/``chi2_sf`` equal ``scipy.stats.chi2`` bit for bit."""
+
+    ALPHAS = (0.01, 0.025, 0.05, 0.1, 0.2)
+
+    @staticmethod
+    def _dofs() -> np.ndarray:
+        rng = np.random.default_rng(0)
+        return np.concatenate(
+            [np.arange(1, 3000), rng.integers(1, 2_000_001, size=2000)]
+        )
+
+    def test_ppf_matches_scipy_stats(self):
+        from scipy import stats
+
+        dofs = self._dofs()
+        for alpha in self.ALPHAS:
+            expected = stats.chi2.ppf(1.0 - alpha, dofs)
+            assert np.array_equal(chi2_ppf(1.0 - alpha, dofs), expected)
+            for dof in dofs[::7].tolist():
+                scalar = float(chi2_ppf(1.0 - alpha, dof))
+                assert scalar.hex() == float(stats.chi2.ppf(1.0 - alpha, dof)).hex()
+
+    def test_sf_matches_scipy_stats(self):
+        from scipy import stats
+
+        for dof in self._dofs()[::3].tolist():
+            for statistic in (-1e-9, 0.0, 0.5 * dof, float(dof), 1.3 * dof, 3.0 * dof):
+                expected = float(stats.chi2.sf(statistic, dof))
+                assert chi2_sf(statistic, dof).hex() == expected.hex()
+
+    def test_package_import_leaves_scipy_stats_out(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.cli, repro.experiments.figures; "
+                "print('scipy.stats' in sys.modules)",
+            ],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout.strip() == "False"

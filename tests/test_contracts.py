@@ -8,9 +8,15 @@ at runtime, and a ``violated`` clause must raise whenever checks are on.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis.dataflow import module_intervals
 from repro.analysis.source import SourceModule
 from repro.contracts import (
@@ -120,6 +126,44 @@ class TestRuntimeChecks:
             requires("n >=")(lambda n: n)
         with pytest.raises(InvalidParameterError):
             requires()
+
+
+class TestEnvironmentFlag:
+    """``REPRO_CONTRACTS`` is read at import and on ``set_runtime_checks(None)``."""
+
+    @staticmethod
+    def _checks_in_fresh_process(value: str) -> str:
+        src = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "from repro.contracts import runtime_checks_enabled; "
+                "print(runtime_checks_enabled())",
+            ],
+            env={**os.environ, "PYTHONPATH": src, "REPRO_CONTRACTS": value},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return result.stdout.strip()
+
+    def test_fresh_process_reads_the_environment(self):
+        assert self._checks_in_fresh_process("1") == "True"
+        assert self._checks_in_fresh_process("0") == "False"
+
+    def test_reset_rereads_a_changed_environment(self, monkeypatch):
+        try:
+            monkeypatch.setenv("REPRO_CONTRACTS", "1")
+            set_runtime_checks(None)
+            assert runtime_checks_enabled()
+            monkeypatch.setenv("REPRO_CONTRACTS", "off")
+            assert runtime_checks_enabled()  # not re-read per call
+            set_runtime_checks(None)
+            assert not runtime_checks_enabled()
+        finally:
+            monkeypatch.undo()
+            set_runtime_checks(None)
 
 
 class TestMetadata:
