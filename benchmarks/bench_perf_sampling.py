@@ -7,12 +7,15 @@ they replace.
 
 ``test_profile_path_cost`` measures the crossover of the class-count
 path (``RowSampler.profile_batch`` on a ``Column``): for every scheme
-with a class-count law it times 10 trials' profiles drawn from rows and
-drawn from class counts, over D in {50, 5k, 20k, 200k, 500k} distinct
-values at n = 1M rows and the paper's six sampling rates (500k because
-Bernoulli's crossover lies between 200k and 500k).  The crossover
-constants in ``repro/sampling/schemes.py`` are read off these timings
-(``BENCH_perf.json``, ``tests`` entries).
+with a class-count law it times 10 trials' profiles drawn three ways —
+``rows`` (a raw array), ``positions`` (a ``Column`` on the row path:
+drawn row positions mapped to classes) and ``classes`` (class counts) —
+over D in {50, 5k, 20k, 200k, 500k} distinct values at n = 1M rows and
+the paper's six sampling rates (500k because Bernoulli's crossover lies
+between 200k and 500k).  The crossover constants in
+``repro/sampling/schemes.py`` are read off these timings
+(``BENCH_perf.json``, ``tests`` entries).  ``test_fig15_row_path_cost``
+times the two row paths on Figure 15's high-D MSSales columns.
 
 ``test_data_layer_cost`` gives the data layer its own numbers: building
 the MSSales surrogate (20 columns of 1,996,290 rows at full scale),
@@ -121,29 +124,52 @@ def _crossover_column(distinct: int):
 
 @pytest.mark.parametrize("fraction", config.SAMPLING_FRACTIONS)
 @pytest.mark.parametrize("distinct", CROSSOVER_DISTINCT)
-@pytest.mark.parametrize("path", ["rows", "classes"])
+@pytest.mark.parametrize("path", ["rows", "positions", "classes"])
 @pytest.mark.parametrize("name", CLASS_COUNT_SCHEMES)
 def test_profile_path_cost(timed, name, path, distinct, fraction):
     sampler = SCHEMES[name]
     column = _crossover_column(distinct)
+    profiles = timed(_path_runner(sampler, path, column, fraction))
+    assert len(profiles) == CROSSOVER_TRIALS
+    assert all(1 <= p.distinct <= column.distinct_count for p in profiles)
+
+
+def _path_runner(sampler, path, column, fraction):
+    """One path's 10-trial profile draw, forced whatever the crossover says."""
     rng = np.random.default_rng(11)
     if path == "rows":
         # A raw array always takes the row path.
         values = column.values
-        profiles = timed(
-            lambda: sampler.profile_batch(
-                values, rng, CROSSOVER_TRIALS, fraction=fraction
-            )
+        return lambda: sampler.profile_batch(
+            values, rng, CROSSOVER_TRIALS, fraction=fraction
         )
-    else:
-        r = resolve_sample_size(
-            column.n_rows, fraction=fraction,
-            allow_oversample=not sampler.without_replacement,
+    r = resolve_sample_size(
+        column.n_rows, fraction=fraction,
+        allow_oversample=not sampler.without_replacement,
+    )
+    if path == "positions":
+        return lambda: sampler._column_row_profiles(
+            column, r, rng, CROSSOVER_TRIALS
         )
-        profiles = timed(
-            lambda: sampler._class_profiles(
-                column.class_sizes, r, rng, CROSSOVER_TRIALS
-            )
-        )
+    return lambda: sampler._class_profiles(
+        column.sorted_class_sizes, r, rng, CROSSOVER_TRIALS
+    )
+
+
+@functools.cache
+def _fig15_column(name: str):
+    return next(column for column in _mssales() if column.name == name)
+
+
+@pytest.mark.parametrize("fraction", config.SAMPLING_FRACTIONS)
+@pytest.mark.parametrize("column_name", ["customer", "invoice"])
+@pytest.mark.parametrize("path", ["rows", "positions"])
+def test_fig15_row_path_cost(timed, path, column_name, fraction):
+    # Figure 15's shapes: n = 1,996,290 and D = 200,000 (customer) or
+    # 1,800,000 (invoice) at full scale, where SRSWOR's crossover picks
+    # rows at every rate.
+    column = _fig15_column(column_name)
+    sampler = SCHEMES["srswor"]
+    profiles = timed(_path_runner(sampler, path, column, fraction))
     assert len(profiles) == CROSSOVER_TRIALS
     assert all(1 <= p.distinct <= column.distinct_count for p in profiles)

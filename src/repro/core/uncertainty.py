@@ -29,7 +29,8 @@ coverage interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,13 +49,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BootstrapSummary:
-    """Replicate statistics for one estimator on one sample."""
+    """Replicate statistics for one estimator on one sample.
+
+    ``estimate`` and ``details`` are the point estimate's value and
+    diagnostics (a hybrid's ``branch``), so a caller need not estimate
+    the sample again to read them.
+    """
 
     estimate: float
     interval: ConfidenceInterval
     std: float
     replicates: int
     confidence: float
+    details: Mapping[str, object] = field(default_factory=dict)
 
 
 def bootstrap_profile(
@@ -146,7 +153,8 @@ def bootstrap_estimate(
         raise InvalidParameterError(
             f"confidence must be in (0, 1), got {confidence}"
         )
-    point = estimator.estimate(profile, population_size).value
+    point_estimate = estimator.estimate(profile, population_size)
+    point = point_estimate.value
     values = np.array(
         [
             estimate.value
@@ -170,6 +178,7 @@ def bootstrap_estimate(
         std=float(values.std(ddof=1)) if replicates > 1 else 0.0,
         replicates=replicates,
         confidence=confidence,
+        details=point_estimate.details,
     )
 
 

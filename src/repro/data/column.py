@@ -8,7 +8,9 @@ A column built from class sizes (:meth:`Column.from_class_sizes`, what
 every generator returns) starts as those sizes plus a layout seed.  Its
 row array is laid out on the first read of :attr:`Column.values`: the
 estimators, and every sampling scheme but page-level Block, read only
-the class sizes, so most generated columns never pay for their rows.
+the class sizes (a layout-free scheme maps the row positions it draws
+to classes with :meth:`Column.classes_at`), so most generated columns
+never pay for their rows.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ class Column:
         self._values: np.ndarray | None = values
         self._n_rows = int(values.size)
         self._class_sizes = _class_sizes
+        self._sorted_sizes: np.ndarray | None = None
+        self._size_groups: tuple[np.ndarray, ...] | None = None
         self._layout_seed: int | None = None
         self._value_offset = 0
         self._population_profile: FrequencyProfile | None = None
@@ -68,6 +72,8 @@ class Column:
         column._values = None
         column._class_sizes = np.sort(np.asarray(class_sizes, dtype=np.int64))
         column._n_rows = int(column._class_sizes.sum())
+        column._sorted_sizes = column._class_sizes
+        column._size_groups = None
         column._layout_seed = int(layout_seed)
         column._value_offset = int(value_offset)
         column._population_profile = None
@@ -94,14 +100,32 @@ class Column:
             OBS.add("data.rows_materialized", self._n_rows)
         return values
 
-    def canonical_layout(self) -> np.ndarray:
-        """A layout-free stand-in for the rows: value ``i`` repeated, ascending.
+    def classes_at(self, positions: np.ndarray) -> np.ndarray:
+        """The classes of the canonical layout's rows at ``positions``, ascending.
 
-        Holds ``np.repeat(arange(D), sort(class_sizes))``, so it depends
-        only on the class-size multiset.  Built per call and not cached.
+        The canonical layout holds class ``j`` (the ``j``-th entry of
+        :attr:`sorted_class_sizes`) on its ``j``-th run of rows, so it
+        depends only on the class-size multiset; it is never built.
+        Classes of equal size form one group: the ``G`` distinct sizes
+        sum to at most ``n``, so ``G <= sqrt(2 n)``.  Group ``g`` covers
+        rows ``[start_g, end_g)`` with classes of size ``s_g`` from
+        index ``first_g`` on, so row ``p`` of group ``g`` is class
+        ``first_g + (p - start_g) // s_g``.  The ``G``-row table is
+        built once per column.  The positions are sorted first, which
+        also sorts the classes and lets ``G`` searches split the
+        positions by group.
         """
-        sizes = np.sort(self.class_sizes)
-        return np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+        if self._size_groups is None:
+            sizes, first, count = np.unique(
+                self.sorted_class_sizes, return_index=True, return_counts=True
+            )
+            end = np.cumsum(sizes * count)
+            self._size_groups = (end, end - sizes * count, first, sizes)
+        end, start, first, sizes = self._size_groups
+        positions = np.sort(positions)
+        per_group = np.diff(np.searchsorted(positions, end), prepend=0)
+        offsets = positions - np.repeat(start, per_group)
+        return np.repeat(first, per_group) + offsets // np.repeat(sizes, per_group)
 
     @property
     def n_rows(self) -> int:
@@ -115,6 +139,18 @@ class Column:
             _, counts = np.unique(self.values, return_counts=True)
             self._class_sizes = counts
         return self._class_sizes
+
+    @property
+    def sorted_class_sizes(self) -> np.ndarray:
+        """:attr:`class_sizes` in ascending order (sorted at most once).
+
+        A generated column's own sizes; an eager column keeps
+        :attr:`class_sizes` in value order, which
+        :meth:`population_profile`'s insertion order depends on.
+        """
+        if self._sorted_sizes is None:
+            self._sorted_sizes = np.sort(self.class_sizes)
+        return self._sorted_sizes
 
     @property
     def distinct_count(self) -> int:

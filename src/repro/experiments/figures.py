@@ -771,7 +771,7 @@ def stability_comparison(
             err_total += ratio_error(summary.estimate, column.distinct_count)
             # Branch-flip rate: how often a resampled profile routes a
             # hybrid to a different branch than the original sample did.
-            original = estimator.estimate(profile, n).details.get("branch")
+            original = summary.details.get("branch")
             if original is not None:
                 branches = [
                     e.details.get("branch")

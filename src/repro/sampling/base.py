@@ -8,7 +8,9 @@ operators of Olken's thesis and the SQL Server sampling hook the paper
 used (DESIGN.md §3).  Given a :class:`~repro.data.column.Column`
 instead of a bare array, schemes with a closed-form law over the
 column's class sizes may skip the rows and draw each value's sample
-multiplicity directly (:meth:`RowSampler.profile_batch`).
+multiplicity directly, and schemes that draw row positions
+(:class:`PositionSampler`) map those positions to classes instead of
+reading rows (:meth:`RowSampler.profile_batch`).
 
 Every sampler takes an explicit :class:`numpy.random.Generator` so that
 experiments are reproducible bit-for-bit.
@@ -27,9 +29,13 @@ from repro.data.column import Column
 from repro.errors import InvalidParameterError
 from repro.frequency.profile import FrequencyProfile
 from repro.obs.recorder import OBS
-from repro.sampling.batch import profiles_from_counts, profiles_from_samples
+from repro.sampling.batch import (
+    profiles_from_counts,
+    profiles_from_samples,
+    profiles_from_sorted_codes,
+)
 
-__all__ = ["RowSampler", "resolve_sample_size", "as_column"]
+__all__ = ["RowSampler", "PositionSampler", "resolve_sample_size", "as_column"]
 
 
 def as_column(values: npt.ArrayLike) -> npt.NDArray[Any]:
@@ -75,10 +81,11 @@ def resolve_sample_size(
 class RowSampler(ABC):
     """Draws a random sample of rows from a column.
 
-    Subclasses define :meth:`_draw`; the public :meth:`sample` handles
-    size resolution and validation, and :meth:`profile` /
-    :meth:`profile_batch` additionally reduce the sample to its
-    frequency profile — the quantity every estimator consumes.
+    Subclasses define :meth:`_draw` (a :class:`PositionSampler`, its
+    positions); the public :meth:`sample` handles size resolution and
+    validation, and :meth:`profile` / :meth:`profile_batch` additionally
+    reduce the sample to its frequency profile — the quantity every
+    estimator consumes.
 
     Schemes whose per-class sample multiplicities follow a closed-form
     law over the column's class sizes also define :meth:`_draw_counts`
@@ -93,13 +100,6 @@ class RowSampler(ABC):
 
     #: Whether the scheme guarantees no row is inspected twice.
     without_replacement: bool = True
-
-    #: Whether the sample's law depends on the row layout (Block's does,
-    #: and so, by default, does any scheme not known to be free of it).
-    #: A scheme that is layout-free in law sets this to ``False``: its
-    #: row path on a :class:`Column` then samples the column's canonical
-    #: layout instead of reading (and so laying out) :attr:`Column.values`.
-    reads_layout: bool = True
 
     def sample(
         self,
@@ -145,10 +145,11 @@ class RowSampler(ABC):
           trials' rows are drawn (:meth:`_draw_batch`) and reduced to
           profiles in one vectorized pass; the stream is consumed
           exactly as successive :meth:`_draw` calls consume it.  On a
-          :class:`Column` a scheme that does not read the layout draws
-          from :meth:`Column.canonical_layout`, so equals the raw-array
-          path on that array; only a layout-reading scheme (Block)
-          draws from :attr:`Column.values`.
+          :class:`Column` a :class:`PositionSampler` draws the same row
+          positions and maps them to classes of the column's canonical
+          layout (:meth:`Column.classes_at`), so it equals the
+          raw-array path on that layout without building it; any other
+          scheme (Block) draws from :attr:`Column.values`.
         * **classes** — a :class:`Column` whose scheme defines
           :meth:`_draw_counts`, when :meth:`_class_path_pays` for its
           ``(D, n, r)``.  Each trial draws its per-class multiplicities
@@ -199,31 +200,50 @@ class RowSampler(ABC):
         with OBS.span(
             f"sample.{self.name}", trials=trials, requested_size=r, path=path
         ):
-            if isinstance(column, Column) and classes:
-                profiles = self._class_profiles(column.class_sizes, r, rng, trials)
+            if not isinstance(column, Column):
+                profiles = self._row_profiles(values, r, rng, trials)
+            elif classes:
+                profiles = self._class_profiles(
+                    column.sorted_class_sizes, r, rng, trials
+                )
             else:
-                with OBS.span("sample.draw"):
-                    if isinstance(column, Column):
-                        values = (
-                            column.values
-                            if self.reads_layout
-                            else column.canonical_layout()
-                        )
-                    samples = self._draw_batch(values, r, rng, trials)
-                with OBS.span("sample.reduce"):
-                    # Equal either way, but a lone sample of a high-D
-                    # column reduces up to 30x faster on its own: the
-                    # batch's dense pair table spans the value range.
-                    profiles = (
-                        profiles_from_samples(samples)
-                        if trials > 1
-                        else [FrequencyProfile.from_sample(samples[0])]
-                    )
+                profiles = self._column_row_profiles(column, r, rng, trials)
         if OBS.enabled:
             OBS.add(f"sample.path.{path}")
             OBS.add("sample.trials", trials)
             OBS.add("sample.rows_sampled", sum(p.sample_size for p in profiles))
         return profiles
+
+    def _row_profiles(
+        self,
+        values: npt.NDArray[Any],
+        r: int,
+        rng: np.random.Generator,
+        trials: int,
+    ) -> list[FrequencyProfile]:
+        """The rows path: ``trials`` samples of ``values``, reduced."""
+        with OBS.span("sample.draw"):
+            samples = self._draw_batch(values, r, rng, trials)
+        with OBS.span("sample.reduce"):
+            # Equal either way, but a lone sample of a high-D column
+            # reduces up to 30x faster on its own: the batch's dense
+            # pair table spans the value range.
+            return (
+                profiles_from_samples(samples)
+                if trials > 1
+                else [FrequencyProfile.from_sample(samples[0])]
+            )
+
+    def _column_row_profiles(
+        self, column: Column, r: int, rng: np.random.Generator, trials: int
+    ) -> list[FrequencyProfile]:
+        """The rows path on a :class:`Column`.
+
+        A scheme whose law reads the row layout samples
+        :attr:`Column.values`, laying the rows out on first use;
+        :class:`PositionSampler` overrides this to skip the rows.
+        """
+        return self._row_profiles(column.values, r, rng, trials)
 
     def _class_profiles(
         self,
@@ -234,13 +254,13 @@ class RowSampler(ABC):
     ) -> list[FrequencyProfile]:
         """The classes path: ``trials`` profiles drawn from class counts.
 
-        The sizes are taken in ascending order, so the profiles depend
-        only on their multiset, not on how the column orders its values.
+        Callers pass :attr:`Column.sorted_class_sizes`, so the profiles
+        depend only on the size multiset, not on how the column orders
+        its values.
         """
         with OBS.span("sample.draw"):
-            canonical = np.sort(class_sizes)
             counts = np.stack(
-                [self._draw_counts(canonical, r, rng) for _ in range(trials)]
+                [self._draw_counts(class_sizes, r, rng) for _ in range(trials)]
             )
         with OBS.span("sample.reduce"):
             return profiles_from_counts(counts)
@@ -297,3 +317,44 @@ class RowSampler(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
+
+
+class PositionSampler(RowSampler):
+    """A scheme whose sample is a set of row positions drawn blind.
+
+    The positions depend only on ``n`` and ``r``, never on the rows, so
+    the scheme's law is free of the row layout.  :meth:`_draw` gathers
+    the rows at :meth:`_draw_positions`, so a raw array and a
+    :class:`Column` consume the stream through the same code.  On a
+    :class:`Column` the row path maps each trial's positions to its
+    sorted classes (:meth:`Column.classes_at`) and reduces the runs of
+    equal classes: no ``n``-row array is built, nothing is factorized.
+    """
+
+    @abstractmethod
+    def _draw_positions(
+        self, n: int, r: int, rng: np.random.Generator
+    ) -> npt.NDArray[np.intp]:
+        """Row positions of one sample of target size ``r`` from ``n`` rows."""
+
+    def _draw_position_batch(
+        self, n: int, r: int, rng: np.random.Generator, trials: int
+    ) -> Sequence[npt.NDArray[np.intp]]:
+        """``trials`` successive :meth:`_draw_positions` calls (an
+        override MUST consume ``rng`` exactly as they would)."""
+        return [self._draw_positions(n, r, rng) for _ in range(trials)]
+
+    def _draw(
+        self, column: npt.NDArray[Any], r: int, rng: np.random.Generator
+    ) -> npt.NDArray[Any]:
+        return column[self._draw_positions(column.size, r, rng)]
+
+    def _column_row_profiles(
+        self, column: Column, r: int, rng: np.random.Generator, trials: int
+    ) -> list[FrequencyProfile]:
+        with OBS.span("sample.draw"):
+            batch = self._draw_position_batch(column.n_rows, r, rng, trials)
+        with OBS.span("sample.reduce"):
+            return profiles_from_sorted_codes(
+                [column.classes_at(positions) for positions in batch]
+            )

@@ -22,7 +22,9 @@ interchangeable with the serial one bit for bit.
 Samplers that draw per-class multiplicities instead of rows (the
 class-count path of :meth:`~repro.sampling.base.RowSampler.profile_batch`)
 already hold pass 1's output; :func:`profiles_from_counts` runs pass 2
-on it.
+on it.  Samplers that draw row positions from a column held as class
+sizes hold each trial's classes in ascending order, so pass 1 is their
+run lengths: :func:`profiles_from_sorted_codes`.
 """
 
 from __future__ import annotations
@@ -37,7 +39,12 @@ from repro.errors import InvalidSampleError
 from repro.frequency.profile import FrequencyProfile
 from repro.obs.recorder import OBS
 
-__all__ = ["profiles_from_counts", "profiles_from_samples", "reduce_samples"]
+__all__ = [
+    "profiles_from_counts",
+    "profiles_from_samples",
+    "profiles_from_sorted_codes",
+    "reduce_samples",
+]
 
 #: Dense-key budget for the bincount passes: a key space larger than
 #: ``max(_DENSE_KEY_FACTOR * occupied, _DENSE_KEY_FLOOR)`` falls back to
@@ -198,6 +205,35 @@ def profiles_from_counts(
     histograms = _multiplicity_histograms(
         counts.shape[0], pair_trials.astype(np.int64, copy=False), multiplicities
     )
+    return [FrequencyProfile(h) for h in histograms]
+
+
+def profiles_from_sorted_codes(
+    codes: Sequence[npt.NDArray[np.int64]],
+) -> list[FrequencyProfile]:
+    """One profile per trial of ascending integer codes.
+
+    Equal codes are adjacent within a trial, so a value's multiplicity
+    is the length of its run: pass 1 is one comparison of neighbours,
+    with no factorizing and no pair table, and pass 2 is shared with
+    the other reductions.  Equal to :func:`profiles_from_samples` on
+    the same arrays.
+    """
+    lengths = np.array([c.size for c in codes], dtype=np.int64)
+    flat = np.concatenate(codes)
+    trial_starts = np.cumsum(lengths) - lengths
+    # A run starts at the first code of every trial and wherever the
+    # code changes.
+    starts = np.ones(flat.size, dtype=bool)
+    starts[1:] = flat[1:] != flat[:-1]
+    starts[trial_starts[lengths > 0]] = True
+    run_starts = np.flatnonzero(starts).astype(np.int64, copy=False)
+    multiplicities = np.diff(run_starts, append=flat.size)
+    runs_per_trial = np.diff(
+        np.searchsorted(run_starts, trial_starts), append=run_starts.size
+    )
+    pair_trials = np.repeat(np.arange(len(codes), dtype=np.int64), runs_per_trial)
+    histograms = _multiplicity_histograms(len(codes), pair_trials, multiplicities)
     return [FrequencyProfile(h) for h in histograms]
 
 

@@ -17,11 +17,13 @@
 
 The first three also draw profiles straight from a column's class sizes
 (the urn model: multivariate hypergeometric, multinomial, and one
-binomial per class).  Reservoir and Block stay row-based: Block's sample
-depends on the row layout, and Reservoir exists to exercise the
-streaming path.  Every scheme but Block is layout-free in law, so on a
-:class:`~repro.data.column.Column` its row path samples the column's
-canonical layout and never lays out the rows.
+binomial per class).  Reservoir and Block have no class-count law:
+Block's sample depends on the row layout, and Reservoir exists to
+exercise the streaming path.  Every scheme but Block draws row
+positions without reading the rows (a
+:class:`~repro.sampling.base.PositionSampler`), so on a
+:class:`~repro.data.column.Column` its row path maps those positions to
+classes and never lays out the rows.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy.typing as npt
 
 from repro.contracts import requires
 from repro.errors import InvalidParameterError
-from repro.sampling.base import RowSampler
+from repro.sampling.base import PositionSampler, RowSampler
 
 __all__ = [
     "UniformWithoutReplacement",
@@ -52,18 +54,16 @@ __all__ = [
 # (tables in docs/performance.md, "Class-count sampling").
 
 
-class UniformWithoutReplacement(RowSampler):
+class UniformWithoutReplacement(PositionSampler):
     """Simple random sample of ``r`` distinct rows."""
 
     name = "srswor"
     without_replacement = True
-    reads_layout = False
 
-    def _draw(
-        self, column: npt.NDArray[Any], r: int, rng: np.random.Generator
-    ) -> npt.NDArray[Any]:
-        indices = rng.choice(column.size, size=r, replace=False)
-        return column[indices]
+    def _draw_positions(
+        self, n: int, r: int, rng: np.random.Generator
+    ) -> npt.NDArray[np.intp]:
+        return rng.choice(n, size=r, replace=False)
 
     def _draw_counts(
         self,
@@ -83,31 +83,24 @@ class UniformWithoutReplacement(RowSampler):
         return 3 * distinct <= r
 
 
-class UniformWithReplacement(RowSampler):
+class UniformWithReplacement(PositionSampler):
     """``r`` independent uniform row draws (rows may repeat)."""
 
     name = "srswr"
     without_replacement = False
-    reads_layout = False
 
-    def _draw(
-        self, column: npt.NDArray[Any], r: int, rng: np.random.Generator
-    ) -> npt.NDArray[Any]:
-        indices = rng.integers(0, column.size, size=r)
-        return column[indices]
+    def _draw_positions(
+        self, n: int, r: int, rng: np.random.Generator
+    ) -> npt.NDArray[np.intp]:
+        return rng.integers(0, n, size=r)
 
-    def _draw_batch(
-        self,
-        column: npt.NDArray[Any],
-        r: int,
-        rng: np.random.Generator,
-        trials: int,
-    ) -> Sequence[npt.NDArray[Any]]:
+    def _draw_position_batch(
+        self, n: int, r: int, rng: np.random.Generator, trials: int
+    ) -> Sequence[npt.NDArray[np.intp]]:
         # One (trials, r) draw fills the output buffer element by
         # element from the same bit stream as ``trials`` successive
         # size-r draws, so this is bit-identical to the serial loop.
-        indices = rng.integers(0, column.size, size=(trials, r))
-        return list(column[indices])
+        return list(rng.integers(0, n, size=(trials, r)))
 
     def _draw_counts(
         self,
@@ -124,7 +117,7 @@ class UniformWithReplacement(RowSampler):
         return 6 * distinct <= r
 
 
-class Bernoulli(RowSampler):
+class Bernoulli(PositionSampler):
     """Independent per-row inclusion with probability ``r / n``.
 
     The *expected* sample size is ``r``; the realized size is
@@ -134,18 +127,16 @@ class Bernoulli(RowSampler):
 
     name = "bernoulli"
     without_replacement = True
-    reads_layout = False
 
-    # RowSampler.sample validates both before dispatching to _draw.
-    @requires("r >= 1", "column.size >= 1")
-    def _draw(
-        self, column: npt.NDArray[Any], r: int, rng: np.random.Generator
-    ) -> npt.NDArray[Any]:
-        rate = r / column.size
-        mask = rng.random(column.size) < rate
+    # RowSampler validates both before drawing.
+    @requires("r >= 1", "n >= 1")
+    def _draw_positions(
+        self, n: int, r: int, rng: np.random.Generator
+    ) -> npt.NDArray[np.intp]:
+        mask = rng.random(n) < r / n
         if not mask.any():
-            mask[rng.integers(0, column.size)] = True
-        return column[mask]
+            mask[rng.integers(0, n)] = True
+        return np.flatnonzero(mask)
 
     def _draw_counts(
         self,
@@ -169,7 +160,7 @@ class Bernoulli(RowSampler):
         return 4 * distinct <= n
 
 
-class Reservoir(RowSampler):
+class Reservoir(PositionSampler):
     """Single-pass reservoir sampling (Vitter's Algorithm R).
 
     Produces a uniform without-replacement sample while reading the
@@ -180,13 +171,12 @@ class Reservoir(RowSampler):
 
     name = "reservoir"
     without_replacement = True
-    reads_layout = False
 
-    def _draw(
-        self, column: npt.NDArray[Any], r: int, rng: np.random.Generator
-    ) -> npt.NDArray[Any]:
-        n = column.size
-        reservoir = column[:r].copy()
+    def _draw_positions(
+        self, n: int, r: int, rng: np.random.Generator
+    ) -> npt.NDArray[np.intp]:
+        # The final slots' row positions: slot i starts with row i.
+        reservoir = np.arange(r, dtype=np.int64)
         if n == r:
             return reservoir
         tail = np.arange(r, n)
@@ -203,7 +193,7 @@ class Reservoir(RowSampler):
             winner_slots, winner_index = np.unique(
                 last_first_slots, return_index=True
             )
-            reservoir[winner_slots] = column[tail[hits][::-1][winner_index]]
+            reservoir[winner_slots] = tail[hits][::-1][winner_index]
         return reservoir
 
 

@@ -94,10 +94,29 @@ class TestStatisticsProduction:
         assert abs(sketch.estimate() - truth) / truth < 0.1
 
     def test_interval_contains_truth(self, rng):
+        # GEE's interval holds D with high probability, not always.  Exact
+        # facts on every streamed sample: the interval exists, d <= LOWER
+        # <= UPPER <= n, and the estimate lies in [d, n].  Then the rate:
+        # over 200 scans, the one-sided 99% Clopper-Pearson lower bound on
+        # how often [LOWER, UPPER] holds the true D must clear 90%.
+        # Measured: 200 of 200.
+        samples = 200
         column = zipf_column(100_000, z=0.0, duplication=10, rng=rng)
-        stats_row = analyze_stream(_chunks(column.values, 4096), 2000, rng)
-        assert stats_row.interval is not None
-        assert stats_row.interval.contains(column.distinct_count)
+        n = column.n_rows
+        hits = 0
+        for _ in range(samples):
+            analyzer = StreamingAnalyzer(2000, rng)
+            for chunk in _chunks(column.values, 4096):
+                analyzer.consume(chunk)
+            d = analyzer.profile().distinct
+            stats_row = analyzer.finish("stream", "values")
+            interval = stats_row.interval
+            assert interval is not None
+            assert d <= interval.lower <= interval.upper <= n
+            assert d <= stats_row.distinct_estimate <= n
+            hits += interval.contains(column.distinct_count)
+        bound = stats.beta.ppf(0.01, hits, samples - hits + 1) if hits else 0.0
+        assert bound >= 0.90, hits
 
     def test_matches_batch_sampling_distribution(self, rng):
         """Streaming and batch sampling produce statistically equivalent

@@ -7,7 +7,8 @@ position the random stream is left at — on raw arrays and on Columns,
 on either side of the class-count crossover.  A raw array's batch must
 also match the historical row path, so code passing arrays keeps its
 numbers; a Column's row path is the raw-array path on its canonical
-layout (on its rows for Block).
+layout, ``repeat(arange(D), sort(class_sizes))`` (on its rows for
+Block).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.sampling import (
     UniformWithReplacement,
     profiles_from_samples,
 )
-from repro.sampling.base import RowSampler
+from repro.sampling.base import PositionSampler, RowSampler
 
 SCHEMES = [
     UniformWithoutReplacement(),
@@ -124,8 +125,12 @@ class TestProfileBatchBitIdentity:
             # The row path on a Column is the raw array's path on the
             # column's canonical layout, or on its rows for a scheme
             # whose law reads the layout (Block).
-            rows = column.values if sampler.reads_layout else column.canonical_layout()
-            assert sampler.reads_layout == (sampler.name == "block")
+            layout_free = isinstance(sampler, PositionSampler)
+            canonical = np.repeat(
+                np.arange(column.distinct_count), np.sort(column.class_sizes)
+            )
+            rows = canonical if layout_free else column.values
+            assert layout_free == (sampler.name != "block")
             assert batched == sampler.profile_batch(
                 rows, np.random.default_rng(42), 6, fraction=0.03
             )
